@@ -5,9 +5,10 @@ the operands, so values stay exact and nothing is evaluated until someone
 asks the result a question.  Negation, min, max, and rational scaling
 transform single queries; addition and multiplication first pin the
 operands into brackets just tight enough that one side of the query becomes
-certain.  Limits of Cauchy sequences (given a modulus) close the system,
-and the power-series functions exp, sin, cos and the constants pi and e
-are built as such limits with explicit rational tail bounds.
+certain.  Limits of Cauchy sequences (given a modulus) close the system;
+pi is such a limit of rational arctan partial sums.  exp, sin and cos
+(and e = exp(1)) answer each query directly from rational series windows
+taken over a bracket of the argument.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from exactreal.core import (
+    Bracket,
     CReal,
     SearchExhausted,
     Side,
@@ -27,6 +29,7 @@ from exactreal.core import (
     tight_bound,
     upper_bound,
 )
+from exactreal.enclosures import Window, cos_window, exp_window, sin_window
 from exactreal.rational import Rational, RationalLike, as_rational, require_positive
 
 # M(eps) = N promises |seq(m) - seq(n)| < eps for all m, n >= N.
@@ -266,119 +269,63 @@ def limit(seq: Callable[[int], CReal], modulus: CauchyModulus, name: str = "limi
 
 
 # ---------------------------------------------------------------------------
-# Power series.  Partial sums are chains of add/mul nodes shared across
-# queries; moduli come from rational tail bounds: for N >= 2B the terms of
-# sum B^k/k! at least halve each step, so the tail from N is < 2 B^N/N!.
-# The constants here are validated against brute-force partial sums in the
-# test suite before anything downstream trusts them.
+# Power series.  exp, sin and cos answer each query from the rational
+# series windows of `enclosures`: bracket the argument, enclose f over the
+# bracket, and tighten both until the enclosure is narrower than the query.
+# exp is monotone, so windows at the bracket ends enclose it; sin and cos
+# are 1-Lipschitz, so the window at the midpoint padded by the bracket's
+# half-width does.  The windows carry the series' only tail bound.
 # ---------------------------------------------------------------------------
 
-
-def _series_real(
-    first_term: Callable[[], CReal],
-    next_term: Callable[[CReal, int], CReal],
-    modulus_of_bound: Callable[[Rational, Rational], int],
-    bound_of: Callable[[], Rational],
-    name: str,
-) -> CReal:
-    sums: list[CReal] = []
-    terms: list[CReal] = []
-    cache: dict = {}
-    lock = threading.Lock()
-
-    def magnitude() -> Rational:
-        # Lazy: bounding the argument costs queries, so wait until needed.
-        if "B" not in cache:
-            cache["B"] = bound_of()
-        return cache["B"]
-
-    def member(n: int) -> CReal:
-        with lock:
-            if not sums:
-                t0 = first_term()
-                terms.append(t0)
-                sums.append(t0)
-            while len(sums) <= n:
-                t = next_term(terms[-1], len(terms))
-                terms.append(t)
-                sums.append(add(sums[-1], t))
-            return sums[n]
-
-    def modulus(eps: RationalLike) -> int:
-        eps = require_positive(eps, "eps")
-        with lock:
-            return modulus_of_bound(magnitude(), eps)
-
-    return limit(member, modulus, name=name)
+Enclose = Callable[[Bracket, Rational], Window]
 
 
-def _exp_tail_index(b: Rational, eps: Rational) -> int:
-    # Least N with N >= 2b and 2 b^N/N! < eps; sums differing past N differ
-    # by less than the tail 2 b^(N+1)/(N+1)! < eps.
-    term = Fraction(1)
-    for n in range(get_search_cap()):
-        if n >= 2 * b and 2 * term < eps:
-            return n
-        term = term * b / (n + 1)
-    raise SearchExhausted("exp tail bound not reached under cap")
+def _window_real(x: CReal, enclose: Enclose, name: str) -> CReal:
+    """f(x), where enclose(b, eps) gives rationals lo <= f(t) <= hi for t in b.
+
+    Each query (q, r) starts at eps = (r - q)/4 and divides eps by 4 until
+    q < lo (RIGHT) or hi < r (LEFT).  The enclosure's width goes to 0 with
+    eps, and once it is below r - q one of the two must hold.
+    """
+
+    def decide(q: Rational, r: Rational) -> Side:
+        eps = (r - q) / 4
+        while True:
+            lo, hi = enclose(tight_bound(x, eps), eps)
+            if q < lo:
+                return Side.RIGHT
+            if hi < r:
+                return Side.LEFT
+            eps /= 4
+
+    return CReal(decide, name=name)
+
+
+def _lipschitz(window: Callable[[Rational, Rational], Window]) -> Enclose:
+    def enclose(b: Bracket, eps: Rational) -> Window:
+        lo, hi = window(b.midpoint, eps)
+        pad = b.width / 2
+        return lo - pad, hi + pad
+
+    return enclose
+
+
+def _exp_enclose(b: Bracket, eps: Rational) -> Window:
+    return exp_window(b.lo, eps)[0], exp_window(b.hi, eps)[1]
 
 
 def exp(x: CReal) -> CReal:
-    """e^x as the limit of sum x^k/k! partial sums."""
-    return _series_real(
-        first_term=lambda: from_rational(1),
-        next_term=lambda prev, k: scalar_mul(Fraction(1, k), mul(prev, x)),
-        modulus_of_bound=_exp_tail_index,
-        bound_of=lambda: upper_bound(absolute(x)),
-        name=f"exp({_clip(x.name)})",
-    )
-
-
-def _sin_tail_index(b: Rational, eps: Rational) -> int:
-    # Partial sums to N leave odd-degree terms from 2N+3 on; dominate by
-    # the full factorial tail.
-    term = b**3 / 6  # b^(2n+3)/(2n+3)! at n = 0
-    for n in range(get_search_cap()):
-        if 2 * n + 3 >= 2 * b and 2 * term < eps:
-            return n
-        term = term * b * b / ((2 * n + 4) * (2 * n + 5))
-    raise SearchExhausted("sin tail bound not reached under cap")
-
-
-def _cos_tail_index(b: Rational, eps: Rational) -> int:
-    term = b**2 / 2  # b^(2n+2)/(2n+2)! at n = 0
-    for n in range(get_search_cap()):
-        if 2 * n + 2 >= 2 * b and 2 * term < eps:
-            return n
-        term = term * b * b / ((2 * n + 3) * (2 * n + 4))
-    raise SearchExhausted("cos tail bound not reached under cap")
+    """e^x, enclosed by series windows at the ends of a bracket of x."""
+    return _window_real(x, _exp_enclose, name=f"exp({_clip(x.name)})")
 
 
 def sin(x: CReal) -> CReal:
-    """sin x = sum (-1)^k x^(2k+1)/(2k+1)!, terms chained by -x^2 ratios."""
-    squared = mul(x, x)
-    return _series_real(
-        first_term=lambda: x,
-        next_term=lambda prev, k: scalar_mul(
-            Fraction(-1, (2 * k) * (2 * k + 1)), mul(prev, squared)
-        ),
-        modulus_of_bound=_sin_tail_index,
-        bound_of=lambda: upper_bound(absolute(x)),
-        name=f"sin({_clip(x.name)})",
-    )
+    """sin x, the series window at a bracket's midpoint padded by its radius."""
+    return _window_real(x, _lipschitz(sin_window), name=f"sin({_clip(x.name)})")
 
 
 def cos(x: CReal) -> CReal:
-    squared = mul(x, x)
-    return _series_real(
-        first_term=lambda: from_rational(1),
-        next_term=lambda prev, k: scalar_mul(
-            Fraction(-1, (2 * k - 1) * (2 * k)), mul(prev, squared)
-        ),
-        modulus_of_bound=_cos_tail_index,
-        bound_of=lambda: upper_bound(absolute(x)),
-        name=f"cos({_clip(x.name)})",
-    )
+    return _window_real(x, _lipschitz(cos_window), name=f"cos({_clip(x.name)})")
 
 
 def arctan_rational(q: RationalLike) -> CReal:

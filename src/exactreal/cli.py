@@ -268,6 +268,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
+    saved_cap = core.get_search_cap()
     if args.cap is not None:
         core.set_search_cap(args.cap)
 
@@ -294,6 +295,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: domain: {exc}", file=sys.stderr)
         return 1
     finally:
+        core.set_search_cap(saved_cap)
         if args.trace:
             core.set_trace_hook(None)
             print(f"trace: {evaluations} locator evaluations", file=sys.stderr)

@@ -9,17 +9,21 @@ recurrence, so the whole sum is enclosed by running that recurrence on
 integer-scaled windows with outward rounding.  Windows only ever contain
 the true values, which makes every result sound by construction; the
 width tolerance is met by rerunning a chain with sharpened parameters
-when the first sizing guess falls short.
+when the first sizing guess falls short.  The series windows at a single
+rational point also carry arith's exp, sin and cos.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from exactreal.analysis import Grid
 from exactreal.rational import Rational, RationalLike, as_rational, require_positive
+
+if TYPE_CHECKING:
+    # Annotations only: analysis reaches this module through arith.
+    from exactreal.analysis import Grid
 
 Window = tuple[Rational, Rational]
 
@@ -35,56 +39,51 @@ def _tail_terms(bound: Rational, tol: Rational) -> int:
     Past index 2*bound the terms of sum bound^k/k! at least halve, so the
     tail from degree n is below twice its first term.
     """
+    a, d = bound.numerator, bound.denominator
     n = max(1, math.ceil(2 * bound))
-    term = 2 * bound ** (n + 1) / math.factorial(n + 1)
-    while term > tol:
+    # term > tol with both sides multiplied by d^(n+1) (n+1)! tol.denominator.
+    term = 2 * a ** (n + 1) * tol.denominator
+    scaled_tol = d ** (n + 1) * math.factorial(n + 1) * tol.numerator
+    while term > scaled_tol:
         n += 1
-        term = term * bound / (n + 1)
+        term *= a
+        scaled_tol *= d * (n + 1)
     return n
 
 
-def _series_window(q: RationalLike, tol: RationalLike, coef: Callable[[int], Rational]) -> Window:
-    # Sound for any series with |coef(k)| <= 1/k!: the exp tail dominates.
+def _series_window(q: RationalLike, tol: RationalLike, signs: tuple[int, int, int, int]) -> Window:
+    # With q = a/d, the partial sum of signs[k % 4] * q^k/k! to degree n
+    # and the tail bound 2|q|^(n+1)/(n+1)! share the denominator
+    # d^(n+1) (n+1)!, so both are summed as integer numerators: the
+    # partial sum by Horner's rule, where degree k weighs
+    # d^(n+1-k) (n+1)!/k!.  Sound because every |coefficient| <= 1/k!:
+    # the exp tail dominates.
     q = as_rational(q)
     tol = require_positive(tol, "window tolerance")
-    b = abs(q)
-    n = _tail_terms(b, tol / 2)
-    partial = Fraction(0)
-    power = Fraction(1)
-    for k in range(n + 1):
-        c = coef(k)
-        if c:
-            partial += c * power
-        power *= q
-    spread = 2 * b ** (n + 1) / math.factorial(n + 1)
-    return partial - spread, partial + spread
+    n = _tail_terms(abs(q), tol / 2)
+    a, d = q.numerator, q.denominator
+    weight = d * (n + 1)
+    total = signs[n % 4] * weight
+    for k in range(n - 1, -1, -1):
+        weight *= d * (k + 1)
+        total = total * a + signs[k % 4] * weight
+    spread = 2 * abs(a) ** (n + 1)
+    return Fraction(total - spread, weight), Fraction(total + spread, weight)
 
 
 def exp_window(q: RationalLike, tol: RationalLike) -> Window:
     """Rationals lo <= exp(q) <= hi with hi - lo <= tol."""
-    return _series_window(q, tol, lambda k: Fraction(1, math.factorial(k)))
+    return _series_window(q, tol, (1, 1, 1, 1))
 
 
 def sin_window(q: RationalLike, tol: RationalLike) -> Window:
     """Rationals lo <= sin(q) <= hi with hi - lo <= tol."""
-    return _series_window(q, tol, _sin_coef)
+    return _series_window(q, tol, (0, 1, 0, -1))
 
 
 def cos_window(q: RationalLike, tol: RationalLike) -> Window:
     """Rationals lo <= cos(q) <= hi with hi - lo <= tol."""
-    return _series_window(q, tol, _cos_coef)
-
-
-def _sin_coef(k: int) -> Rational:
-    if k % 2 == 0:
-        return Fraction(0)
-    return Fraction((-1) ** (k // 2), math.factorial(k))
-
-
-def _cos_coef(k: int) -> Rational:
-    if k % 2:
-        return Fraction(0)
-    return Fraction((-1) ** (k // 2), math.factorial(k))
+    return _series_window(q, tol, (1, 0, -1, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from exactreal.arith import (
     sin,
     sub,
 )
-from exactreal.arith import _cos_tail_index, _exp_tail_index, _sin_tail_index
 from exactreal.core import (
     CotransResult,
     CReal,
@@ -39,6 +38,7 @@ from exactreal.core import (
     to_cauchy,
     upper_bound,
 )
+from exactreal.enclosures import _tail_terms, cos_window, exp_window, sin_window
 from exactreal.selftest import check_against_value, forced_query, random_rational
 
 
@@ -229,25 +229,34 @@ def _cos_partial(x: Fraction, n: int) -> Fraction:
     )
 
 
+def _exp_oracle_terms(n: int, b: Fraction, eps: Fraction) -> int:
+    # The oracle's own tail bound for sum x^k/k! with |x| <= b: past
+    # degree 2b the terms at least halve, so the tail after degree n is
+    # below 2 b^n/n!.
+    assert n >= 2 * b and 2 * b**n / math.factorial(n) < eps
+    return n
+
+
 def test_series_moduli_against_brute_force_partial_sums():
-    # The tail-index derivations must satisfy the Cauchy modulus contract;
-    # check |S_m - S_n| < eps on windows past the index, at the magnitude
-    # extremes x = +-B where the tails are largest.
-    for b in [Fraction(1, 2), Fraction(2), Fraction(7)]:
-        for eps in [Fraction(1, 10), Fraction(1, 10**6)]:
-            n0 = _exp_tail_index(b, eps)
-            assert n0 >= 2 * b and 2 * b**n0 / math.factorial(n0) < eps
+    # The one series tail bound must meet its documented contract, and the
+    # windows built on it must hold every brute-force partial sum past
+    # their degree, at the magnitude extremes x = +-B where the tails are
+    # largest.  Each window is exactly its partial sum +- the tail bound.
+    for b in [Fraction(1, 2), Fraction(2), Fraction(3), Fraction(7)]:
+        for tol in [Fraction(1, 10), Fraction(1, 10**4), Fraction(1, 10**6)]:
+            n = _tail_terms(b, tol)
+            assert n >= 2 * b and 2 * b ** (n + 1) / math.factorial(n + 1) <= tol
+            n = _tail_terms(b, tol / 2)  # the degree each window sums to
+            spread = 2 * b ** (n + 1) / math.factorial(n + 1)
             for x in (b, -b):
-                window = [_exp_partial(x, n) for n in range(n0, n0 + 30)]
-                assert all(abs(s - t) < eps for s in window for t in window)
-    for b in [Fraction(1, 2), Fraction(3)]:
-        eps = Fraction(1, 10**4)
-        n0 = _sin_tail_index(b, eps)
-        window = [_sin_partial(b, n) for n in range(n0, n0 + 30)]
-        assert all(abs(s - t) < eps for s in window for t in window)
-        n0 = _cos_tail_index(b, eps)
-        window = [_cos_partial(b, n) for n in range(n0, n0 + 30)]
-        assert all(abs(s - t) < eps for s in window for t in window)
+                for window, partial in [
+                    (exp_window, lambda m: _exp_partial(x, m)),
+                    (sin_window, lambda m: _sin_partial(x, (m - 1) // 2)),
+                    (cos_window, lambda m: _cos_partial(x, m // 2)),
+                ]:
+                    lo, hi = window(x, tol)
+                    assert (lo, hi) == (partial(n) - spread, partial(n) + spread)
+                    assert all(lo <= partial(m) <= hi for m in range(n, n + 30))
 
 
 def test_exp_at_zero():
@@ -258,6 +267,17 @@ def test_sin_cos_at_zero():
     rng = random.Random(16)
     assert not check_against_value(sin(from_rational(0)), Fraction(0), rng, queries=10)
     assert not check_against_value(cos(from_rational(0)), Fraction(1), rng, queries=10)
+    # Zero and pi known only through brackets: sin and cos pad the
+    # midpoint window by the bracket radius, exp reads windows at both ends.
+    eps = Fraction(1, 10**12)
+    for x, value in [
+        (sin(pi()), Fraction(0)),
+        (cos(pi()), Fraction(-1)),
+        (exp(sub(e(), e())), Fraction(1)),
+    ]:
+        b = tight_bound(x, eps)
+        assert b.width < eps
+        assert b.lo < value < b.hi
 
 
 def test_exp_times_exp_of_negation_brackets_one():
@@ -271,7 +291,7 @@ def test_exp_times_exp_of_negation_brackets_one():
 
 def test_exp_bracket_against_partial_sum_oracle():
     # Oracle interval: S_N +- tail at N chosen for 1e-8 slack.
-    n0 = _exp_tail_index(Fraction(2), Fraction(1, 10**8))
+    n0 = _exp_oracle_terms(16, Fraction(2), Fraction(1, 10**8))
     val = _exp_partial(Fraction(1), n0)
     tail = 2 * Fraction(2) ** n0 / math.factorial(n0)
     b = tight_bound(exp(from_rational(1)), Fraction(1, 10**6))
@@ -313,7 +333,7 @@ def test_arctan_and_pi_against_machin_oracle():
 
 
 def test_e_bracket_contains_oracle():
-    n0 = _exp_tail_index(Fraction(2), Fraction(1, 10**10))
+    n0 = _exp_oracle_terms(18, Fraction(2), Fraction(1, 10**10))
     val = _exp_partial(Fraction(1), n0)
     b = tight_bound(e(), Fraction(1, 10**6))
     assert b.lo < val < b.hi
@@ -343,7 +363,7 @@ def test_lift_identity_constant_and_exp():
     exp_map = RealMap(apply=exp, name="exp")
     lifted = lift(exp_map, from_rational(1))
     direct = e()
-    n0 = _exp_tail_index(Fraction(2), Fraction(1, 10**8))
+    n0 = _exp_oracle_terms(16, Fraction(2), Fraction(1, 10**8))
     val = _exp_partial(Fraction(1), n0)
     # Queries forced by the oracle interval around e.
     for q, r, want in [

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from exactreal import core
 from exactreal.cli import main
 
 
@@ -172,6 +173,10 @@ def test_main_exit_codes_in_process(capsys):
     assert main(["nope"]) == 2
     assert main([]) == 2
     assert main(["--help"]) == 0
+    # --cap holds for one call only.
+    cap = core.get_search_cap()
+    assert main(["--cap", "7", "digits", "1/3", "-n", "2"]) == 0
+    assert core.get_search_cap() == cap
     capsys.readouterr()
 
 
