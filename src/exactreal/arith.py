@@ -9,6 +9,15 @@ certain.  Limits of Cauchy sequences (given a modulus) close the system;
 pi is such a limit of rational arctan partial sums.  exp, sin and cos
 (and e = exp(1)) answer each query directly from rational series windows
 taken over a bracket of the argument.
+
+Rational operands fold.  When every operand carries `exact` (it was built
+by from_rational), neg, recip, min and max return from_rational of the
+exact result, and so do abs and sub, which are built from them and add.
+add, scalar_mul and mul fold only while the result's numerator and
+denominator fit in _FOLD_BITS bits: an iteration in exact arithmetic
+(a cubic update round after round) would otherwise grow its rationals
+without bound, where the lifted node only ever answers coarse queries.
+Anything else builds the lifted node.
 """
 
 from __future__ import annotations
@@ -80,6 +89,16 @@ def lift(f: RealMap, x: CReal) -> CReal:
     return f.apply(x)
 
 
+# Folded values peak at 109 bits on the sqrt 2 root to 7 digits and stay
+# below that on the other benchmark roots and integrals.  The bound leaves
+# room for those and stops iterations whose sizes multiply each round.
+_FOLD_BITS = 1024
+
+
+def _fits(value: Rational) -> bool:
+    return max(value.numerator.bit_length(), value.denominator.bit_length()) <= _FOLD_BITS
+
+
 def _flip(side: Side) -> Side:
     return Side.LEFT if side is Side.RIGHT else Side.RIGHT
 
@@ -95,6 +114,8 @@ def _clip(label: str, limit: int = 32) -> str:
 
 def neg(x: CReal) -> CReal:
     """-x: reflect the query and flip the answer."""
+    if x.exact is not None:
+        return from_rational(-x.exact)
 
     def decide(q: Rational, r: Rational) -> Side:
         return _flip(x.locate(-r, -q))
@@ -109,6 +130,10 @@ def add(x: CReal, y: CReal) -> CReal:
     (q - u, q - u + eps).  RIGHT there gives x + y > u + (q - u) = q;
     LEFT gives x + y < v + (q - u) + eps < q + 2*eps = r.
     """
+    if x.exact is not None and y.exact is not None:
+        value = x.exact + y.exact
+        if _fits(value):
+            return from_rational(value)
 
     def decide(q: Rational, r: Rational) -> Side:
         eps = (r - q) / 2
@@ -125,6 +150,8 @@ def sub(x: CReal, y: CReal) -> CReal:
 
 def minimum(x: CReal, y: CReal) -> CReal:
     """min(x, y): below r as soon as either operand is; above q if both are."""
+    if x.exact is not None and y.exact is not None:
+        return from_rational(min(x.exact, y.exact))
 
     def decide(q: Rational, r: Rational) -> Side:
         if x.locate(q, r) is Side.LEFT:
@@ -135,6 +162,9 @@ def minimum(x: CReal, y: CReal) -> CReal:
 
 
 def maximum(x: CReal, y: CReal) -> CReal:
+    if x.exact is not None and y.exact is not None:
+        return from_rational(max(x.exact, y.exact))
+
     def decide(q: Rational, r: Rational) -> Side:
         if x.locate(q, r) is Side.RIGHT:
             return Side.RIGHT
@@ -152,6 +182,10 @@ def scalar_mul(c: RationalLike, x: CReal) -> CReal:
     c = as_rational(c)
     if c == 0:
         return from_rational(0)
+    if x.exact is not None:
+        value = c * x.exact
+        if _fits(value):
+            return from_rational(value)
     if c > 0:
 
         def decide(q: Rational, r: Rational) -> Side:
@@ -174,6 +208,10 @@ def mul(x: CReal, y: CReal) -> CReal:
     sits within eps of every other, so q < min(corners) or
     max(corners) < r must hold, and the first check decides.
     """
+    if x.exact is not None and y.exact is not None:
+        value = x.exact * y.exact
+        if _fits(value):
+            return from_rational(value)
     bound_x = add(absolute(x), from_rational(1))
     bound_y = add(absolute(y), from_rational(1))
     cache: dict = {}
@@ -206,6 +244,8 @@ def recip(x: CReal, witness: ApartnessWitness) -> CReal:
     flipped since inversion reverses order.  Negative x mirrors this, the
     double sign change landing on the same flipped query.
     """
+    if x.exact is not None:
+        return from_rational(1 / x.exact)
     if witness.sign is Sign.POSITIVE:
 
         def decide(q: Rational, r: Rational) -> Side:
@@ -228,8 +268,11 @@ def find_apartness(x: CReal, cap: Optional[int] = None) -> ApartnessWitness:
 
     Tests the forced queries (10^-j, 2*10^-j) and (-2*10^-j, -10^-j) at
     ever finer j; a sound locator must eventually concede a side if x
-    really is apart from zero.  Caller asserts x != 0.
+    really is apart from zero.  Caller asserts x != 0; an exact zero
+    fails at once.
     """
+    if x.exact == 0:
+        raise SearchExhausted(f"no apartness witness for {x.name}: it is exactly zero")
     budget = cap if cap is not None else get_search_cap()
     for j in range(budget):
         g = Fraction(1, 10**j)

@@ -120,9 +120,15 @@ class CReal:
     plus the tightest bracket implied by those answers: every RIGHT at (q, r)
     certifies q < x and every LEFT certifies x < r, so the cache tightens for
     free as a side effect of use.  Shareable across threads.
+
+    `exact` is the value itself when the real was built by from_rational
+    (and None otherwise).  The searches in this module never read it: they
+    are the paper's extraction algorithms and run the same on every
+    locator.  The lifted constructors in `arith` read it to fold rational
+    operands into a rational result instead of a locator tree.
     """
 
-    __slots__ = ("_decide", "name", "_lock", "_answers", "_lo", "_hi", "_evals")
+    __slots__ = ("_decide", "name", "_lock", "_answers", "_lo", "_hi", "_evals", "_exact")
 
     def __init__(self, decide: Callable[[Rational, Rational], Side], name: str = "real"):
         self._decide = decide
@@ -132,6 +138,12 @@ class CReal:
         self._lo: Optional[Rational] = None
         self._hi: Optional[Rational] = None
         self._evals = 0
+        self._exact: Optional[Rational] = None
+
+    @property
+    def exact(self) -> Optional[Rational]:
+        """The rational value of a from_rational locator, else None."""
+        return self._exact
 
     def locate(self, q: RationalLike, r: RationalLike) -> Side:
         q = as_rational(q)
@@ -179,6 +191,26 @@ class CReal:
         return f"<CReal {self.name}>"
 
 
+# Numbers wider than this many bits are named by their bit lengths: the
+# name is a trace label, and converting a huge integer to decimal is slow
+# and, past Python's int-string limit, raises.
+_NAME_BITS = 128
+
+
+def _rational_label(s: Rational) -> str:
+    num, den = s.numerator, s.denominator
+    if max(num.bit_length(), den.bit_length()) <= _NAME_BITS:
+        return str(s)
+    sign = "-" if num < 0 else ""
+    return f"{sign}{num.bit_length()}b/{den.bit_length()}b"
+
+
+def _rational_real(decide: Callable[[Rational, Rational], Side], s: Rational, tag: str) -> CReal:
+    real = CReal(decide, name=f"{tag}({_rational_label(s)})")
+    real._exact = s
+    return real
+
+
 def from_rational_first(s: RationalLike) -> CReal:
     """Locator for a known rational s, deciding by comparing q against s.
 
@@ -190,7 +222,7 @@ def from_rational_first(s: RationalLike) -> CReal:
     def decide(q: Rational, r: Rational) -> Side:
         return Side.RIGHT if q < s else Side.LEFT
 
-    return CReal(decide, name=f"rational({s})")
+    return _rational_real(decide, s, "rational")
 
 
 def from_rational_second(s: RationalLike) -> CReal:
@@ -203,7 +235,7 @@ def from_rational_second(s: RationalLike) -> CReal:
     def decide(q: Rational, r: Rational) -> Side:
         return Side.LEFT if s < r else Side.RIGHT
 
-    return CReal(decide, name=f"rational'({s})")
+    return _rational_real(decide, s, "rational'")
 
 
 from_rational = from_rational_first

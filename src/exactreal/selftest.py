@@ -1,11 +1,12 @@
 """Randomized soundness checks against exact rational arithmetic.
 
 Random expressions over rational leaves are evaluated twice: as a locator
-through the library's operations, and exactly in rational arithmetic.  Any
-query (q, r) where exactly one of q < v, v < r holds is forced: a sound
-locator has no choice of side.  Disagreement on a forced query is a bug by
-construction, so this is both a test fixture and the engine behind the
-command-line verify subcommand.
+through the library's operations, and exactly in rational arithmetic.  The
+leaves are opaque to arith's rational fold, so every operation in a sample
+stays a lifted locator.  Any query (q, r) where exactly one of q < v, v < r
+holds is forced: a sound locator has no choice of side.  Disagreement on a
+forced query is a bug by construction, so this is both a test fixture and
+the engine behind the command-line verify subcommand.
 """
 
 from __future__ import annotations
@@ -39,6 +40,16 @@ class SelfTestReport:
         return not self.failures
 
 
+def opaque_rational(v: Rational) -> CReal:
+    """A locator for v that carries no `exact`, so arith keeps it lifted.
+
+    It shares from_rational's deciding function and answers every query
+    the same way; only the fold in `arith` cannot see through it.
+    """
+    leaf = from_rational(v)
+    return CReal(leaf._decide, name=leaf.name)
+
+
 def random_rational(rng: random.Random, span: int = 12) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, span))
 
@@ -50,7 +61,7 @@ def random_sample(rng: random.Random, depth: int) -> Sample:
     """A random expression of at most the given operator depth."""
     if depth == 0 or rng.random() < 0.25:
         v = random_rational(rng)
-        return Sample(str(v), from_rational(v), v)
+        return Sample(str(v), opaque_rational(v), v)
     op = rng.choice(_OPS)
     if op == "recip":
         # Reciprocals need an operand bounded away from zero; retry a few
@@ -61,7 +72,7 @@ def random_sample(rng: random.Random, depth: int) -> Sample:
                 break
         else:
             v = Fraction(rng.randint(1, 12))
-            child = Sample(str(v), from_rational(v), v)
+            child = Sample(str(v), opaque_rational(v), v)
         witness = arith.find_apartness(child.real)
         return Sample(
             f"recip({child.text})",

@@ -210,18 +210,25 @@ def test_approx_ivt_cubic():
 
 def test_nonconstant_search_replays():
     # Pair enumeration first reaches gap 1/10 at the interval midpoint,
-    # where the forced query (1/10, 2/10) certifies f > gap.
+    # where the forced query (1/10, 2/10) certifies f > gap.  The
+    # differences at rational points fold to rationals, whose locators
+    # answer an unforced query by comparing q with the value: on (1, 2)
+    # the difference 3/2 answers RIGHT to (1, 2) at gap 1, and at 3/4 the
+    # difference -23/16 answers RIGHT to (-2, -1), so that witness waits
+    # for gap 1/10.
     wit = nonconstant_search(IDENTITY_BARE, 0, 1, 0)
     assert wit == NonzeroWitness(F(1, 2), F(1, 10), Sign.POSITIVE)
     wit = nonconstant_search(IDENTITY_BARE, 1, 2, 0)
-    assert wit == NonzeroWitness(F(3, 2), F(1, 10), Sign.POSITIVE)
+    assert wit == NonzeroWitness(F(3, 2), F(1), Sign.POSITIVE)
     wit = nonconstant_search(SQUARE_LESS_2, F(1, 2), 1, 0)
-    assert wit == NonzeroWitness(F(3, 4), F(1), Sign.NEGATIVE)
+    assert wit == NonzeroWitness(F(3, 4), F(1, 10), Sign.NEGATIVE)
 
 
 def test_nonconstant_witnesses_are_sound():
     # Exact rational recheck of the certified inequalities.
     assert F(1, 2) - 0 > F(1, 10)
+    assert F(3, 2) - 0 > F(1)
+    assert F(3, 4) ** 2 - 2 < -F(1, 10)
     assert F(3, 4) ** 2 - 2 < -F(1)
 
 

@@ -39,58 +39,107 @@ from exactreal.core import (
     upper_bound,
 )
 from exactreal.enclosures import _tail_terms, cos_window, exp_window, sin_window
-from exactreal.selftest import check_against_value, forced_query, random_rational
+from exactreal.selftest import (
+    check_against_value,
+    forced_query,
+    opaque_rational,
+    random_rational,
+)
+
+# The constructor tests below take opaque operands, which carry no `exact`,
+# so that they exercise the lifted locators; the folded result on exact
+# operands is checked next to each.
+O = opaque_rational
+
+
+def _assert_folds(real, value):
+    assert real.exact == value and type(real.exact) is Fraction
+
+
+def _assert_lifted(real, value, queries=20):
+    assert real.exact is None
+    assert not check_against_value(real, value, random.Random(19), queries=queries)
 
 
 def test_neg():
-    assert neg(from_rational(3)).locate(-2, 0) is Side.LEFT
+    assert neg(O(3)).locate(-2, 0) is Side.LEFT
     x = from_rational(Fraction(1, 2))
-    twice = neg(neg(from_rational(Fraction(1, 2))))
+    twice = neg(neg(O(Fraction(1, 2))))
     for q, r in [(0, 1), (-1, 0), (Fraction(1, 2), 1), (0, Fraction(1, 2))]:
         assert twice.locate(q, r) is x.locate(q, r)
     # Mirror symmetry on a symmetric query.
     flipped = {Side.RIGHT: Side.LEFT, Side.LEFT: Side.RIGHT}
-    assert neg(from_rational(0)).locate(-1, 1) is flipped[from_rational(0).locate(-1, 1)]
+    assert neg(O(0)).locate(-1, 1) is flipped[from_rational(0).locate(-1, 1)]
+    _assert_folds(neg(from_rational(3)), Fraction(-3))
+    _assert_folds(neg(neg(from_rational(Fraction(1, 2)))), Fraction(1, 2))
+    _assert_lifted(neg(O(Fraction(2, 5))), Fraction(-2, 5))
 
 
 def test_add_forced_examples():
-    assert add(from_rational(1), from_rational(2)).locate(3, 4) is Side.LEFT
-    assert add(from_rational(1), from_rational(2)).locate(0, 3) is Side.RIGHT
+    assert add(O(1), O(2)).locate(3, 4) is Side.LEFT
+    assert add(O(1), O(2)).locate(0, 3) is Side.RIGHT
+    _assert_folds(add(from_rational(1), from_rational(2)), Fraction(3))
+    _assert_lifted(add(from_rational(1), O(2)), Fraction(3))
+    _assert_lifted(add(O(1), from_rational(2)), Fraction(3))
 
 
 def test_add_oracle_suite():
     rng = random.Random(7)
     for _ in range(100):
         a, b = random_rational(rng), random_rational(rng)
-        assert not check_against_value(
-            add(from_rational(a), from_rational(b)), a + b, rng, queries=3
-        )
+        assert not check_against_value(add(O(a), O(b)), a + b, rng, queries=3)
+        _assert_folds(add(from_rational(a), from_rational(b)), a + b)
 
 
 def test_min_max_abs():
-    assert minimum(from_rational(1), from_rational(2)).locate(1, Fraction(3, 2)) is Side.LEFT
-    assert maximum(from_rational(-1), from_rational(1)).locate(1, 2) is Side.LEFT
+    assert minimum(O(1), O(2)).locate(1, Fraction(3, 2)) is Side.LEFT
+    assert maximum(O(-1), O(1)).locate(1, 2) is Side.LEFT
     rng = random.Random(8)
-    assert not check_against_value(absolute(from_rational(-3)), Fraction(3), rng, queries=50)
+    assert not check_against_value(absolute(O(-3)), Fraction(3), rng, queries=50)
+    _assert_folds(minimum(from_rational(1), from_rational(2)), Fraction(1))
+    _assert_folds(maximum(from_rational(-1), from_rational(1)), Fraction(1))
+    _assert_folds(absolute(from_rational(-3)), Fraction(3))
+    _assert_lifted(minimum(from_rational(1), O(2)), Fraction(1))
+    _assert_lifted(maximum(O(-1), from_rational(1)), Fraction(1))
 
 
 def test_sub():
     rng = random.Random(9)
     assert not check_against_value(
-        sub(from_rational(Fraction(1, 3)), from_rational(2)), Fraction(-5, 3), rng, queries=20
+        sub(O(Fraction(1, 3)), O(2)), Fraction(-5, 3), rng, queries=20
     )
+    _assert_folds(sub(from_rational(Fraction(1, 3)), from_rational(2)), Fraction(-5, 3))
+    _assert_lifted(sub(from_rational(Fraction(1, 3)), O(2)), Fraction(-5, 3))
 
 
 def test_scalar_mul():
     rng = random.Random(10)
     for c in [Fraction(3), Fraction(-5, 2), Fraction(0), Fraction(1, 7)]:
-        x = from_rational(Fraction(2, 3))
+        x = O(Fraction(2, 3))
         assert not check_against_value(scalar_mul(c, x), c * Fraction(2, 3), rng, queries=20)
+        _assert_folds(scalar_mul(c, from_rational(Fraction(2, 3))), c * Fraction(2, 3))
 
 
 def test_mul_forced_examples():
-    assert mul(from_rational(2), from_rational(2)).locate(5, 6) is Side.LEFT
-    assert mul(from_rational(2), from_rational(-3)).locate(-7, -6) is Side.RIGHT
+    assert mul(O(2), O(2)).locate(5, 6) is Side.LEFT
+    assert mul(O(2), O(-3)).locate(-7, -6) is Side.RIGHT
+    _assert_folds(mul(from_rational(2), from_rational(-3)), Fraction(-6))
+    _assert_lifted(mul(O(2), from_rational(-3)), Fraction(-6))
+
+
+def test_fold_size_bound():
+    # Products, sums and scalings whose numerator or denominator passes the
+    # bit bound stay lifted, and stay sound.
+    wide = Fraction(3**600 + 1, 2**950)  # about 1.9, 951 bits each: under the bound
+    big = from_rational(wide)
+    assert big.exact == wide
+    square = mul(big, big)
+    _assert_lifted(square, wide * wide, queries=10)
+    _assert_lifted(add(big, from_rational(Fraction(1, 3**200))), wide + Fraction(1, 3**200))
+    _assert_lifted(scalar_mul(Fraction(1, 2**400), big), wide / 2**400)
+    # 476 / 301 bits: folds.
+    product = mul(from_rational(Fraction(3**300)), from_rational(Fraction(1, 2**300)))
+    _assert_folds(product, Fraction(3**300, 2**300))
 
 
 def test_mul_spread_law():
@@ -112,19 +161,28 @@ def test_mul_spread_law():
 
 
 def test_recip_forced_examples():
-    r2 = recip(from_rational(2), ApartnessWitness(Sign.POSITIVE, Fraction(1)))
+    r2 = recip(O(2), ApartnessWitness(Sign.POSITIVE, Fraction(1)))
     assert r2.locate(Fraction(1, 4), Fraction(1, 3)) is Side.RIGHT
-    rn = recip(from_rational(-2), ApartnessWitness(Sign.NEGATIVE, Fraction(1)))
+    rn = recip(O(-2), ApartnessWitness(Sign.NEGATIVE, Fraction(1)))
     assert rn.locate(-1, Fraction(-3, 4)) is Side.RIGHT
+    _assert_folds(
+        recip(from_rational(-2), ApartnessWitness(Sign.NEGATIVE, Fraction(1))),
+        Fraction(-1, 2),
+    )
+    _assert_lifted(rn, Fraction(-1, 2))
 
 
 def test_recip_round_trip():
     rng = random.Random(11)
     for v in [Fraction(2), Fraction(-2), Fraction(1, 3), Fraction(-1, 3)]:
-        x = from_rational(v)
+        x = O(v)
         inner = recip(x, find_apartness(x))
         outer = recip(inner, find_apartness(inner))
         assert not check_against_value(outer, v, rng, queries=50)
+        exact = from_rational(v)
+        inner = recip(exact, find_apartness(exact))
+        _assert_folds(inner, 1 / v)
+        _assert_folds(recip(inner, find_apartness(inner)), v)
 
 
 def _recip_via_cotrans(x: CReal, witness: ApartnessWitness) -> CReal:
@@ -153,7 +211,7 @@ def _recip_via_cotrans(x: CReal, witness: ApartnessWitness) -> CReal:
 def test_recip_agrees_with_cotransitivity_construction():
     rng = random.Random(12)
     for v in [Fraction(2), Fraction(-2), Fraction(1, 3), Fraction(-1, 3)]:
-        x = from_rational(v)
+        x = O(v)
         witness = find_apartness(x)
         direct = recip(x, witness)
         via = _recip_via_cotrans(from_rational(v), witness)
@@ -172,7 +230,10 @@ def test_find_apartness():
     assert w == ApartnessWitness(Sign.NEGATIVE, Fraction(1))
     assert find_apartness(from_rational(2)) == ApartnessWitness(Sign.POSITIVE, Fraction(1))
     with pytest.raises(SearchExhausted):
-        find_apartness(from_rational(0), cap=1000)
+        find_apartness(O(0), cap=1000)
+    # An exact zero fails at once, whatever the cap.
+    with pytest.raises(SearchExhausted, match="^no apartness witness"):
+        find_apartness(sub(from_rational(Fraction(1, 3)), from_rational(Fraction(1, 3))))
 
 
 def test_apartness_witness_validates_gap():

@@ -9,6 +9,7 @@ installed package rather than the shell PATH.
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -184,3 +185,16 @@ def test_cap_flag_rejects_nonpositive():
     result = run_cli("--cap", "0", "verify")
     assert result.returncode == 2
     assert "error: usage:" in result.stderr
+
+
+def test_exact_zero_divisor_fails_fast_at_default_cap(capsys):
+    # The divisor folds to the rational 0, so the apartness search gives
+    # up at once instead of probing 10^6 shrinking gaps.
+    start = time.monotonic()
+    assert main(["digits", "1/(1/3 - 1/3)", "-n", "4"]) == 1
+    elapsed = time.monotonic() - start
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: domain: no apartness witness")
+    assert elapsed < 5

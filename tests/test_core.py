@@ -241,3 +241,24 @@ def test_custom_locator_answer_type_checked():
     bad = CReal(lambda q, r: "right")
     with pytest.raises(TypeError):
         bad.locate(0, 1)
+
+
+def test_rational_locators_carry_their_value():
+    assert from_rational_first(Fraction(1, 2)).exact == Fraction(1, 2)
+    assert from_rational_second(-3).exact == Fraction(-3)
+    assert CReal(lambda q, r: Side.LEFT, name="opaque").exact is None
+    with pytest.raises(AttributeError):
+        from_rational(1).exact = Fraction(2)
+
+
+def test_from_rational_on_huge_rationals():
+    # The name clips on bit length instead of printing past Python's
+    # 4300-digit int-string limit; the locator itself is unchanged.
+    tiny = Fraction(1, 3**10000)
+    x = from_rational(tiny)
+    assert x.exact == tiny
+    assert x.name == "rational(1b/15850b)"
+    assert from_rational_second(-1 / tiny).name == "rational'(-15850b/1b)"
+    assert x.locate(0, tiny) is Side.RIGHT
+    assert x.locate(tiny, 1) is Side.LEFT
+    assert from_rational(Fraction(2**127, 3)).name == f"rational({2**127}/3)"
