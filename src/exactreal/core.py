@@ -24,7 +24,6 @@ from exactreal.rational import (
     Rational,
     RationalLike,
     as_rational,
-    enumerate_rational,
     require_positive,
     trichotomy,
 )
@@ -254,25 +253,18 @@ def bounded_search(predicate: Callable[[int], bool], cap: Optional[int] = None) 
     raise SearchExhausted(f"no index below cap {limit} satisfies the predicate")
 
 
-_DYADIC_PROBES = 128
-
-
 def lower_bound(x: CReal) -> Rational:
     """Some rational q with q < x, certified by a locator answer.
 
-    Probes the dyadic intervals (-2^(k+1), -2^k): the first RIGHT answer
-    certifies -2^(k+1) < x, and soundness forces RIGHT once -2^k is above x.
-    A locator that keeps answering LEFT past any reasonable magnitude gets
-    handed to the exhaustive search over the rational enumeration.
+    Probes the dyadic intervals (-2^(k+1), -2^k) for k up to the search
+    cap: the first RIGHT answer certifies -2^(k+1) < x, and soundness
+    forces RIGHT once -2^k is below x.
     """
     lo, _ = x.known_bracket()
     if lo is not None:
         return lo
-    for k in range(_DYADIC_PROBES):
-        if x.locates_right(-(2 ** (k + 1)), -(2**k)):
-            return Fraction(-(2 ** (k + 1)))
-    n = bounded_search(lambda i: x.locates_right(enumerate_rational(i) - 1, enumerate_rational(i)))
-    return enumerate_rational(n) - 1
+    k = bounded_search(lambda k: x.locates_right(-(2 ** (k + 1)), -(2**k)))
+    return Fraction(-(2 ** (k + 1)))
 
 
 def upper_bound(x: CReal) -> Rational:
@@ -280,11 +272,8 @@ def upper_bound(x: CReal) -> Rational:
     _, hi = x.known_bracket()
     if hi is not None:
         return hi
-    for k in range(_DYADIC_PROBES):
-        if x.locates_left(2**k, 2 ** (k + 1)):
-            return Fraction(2 ** (k + 1))
-    n = bounded_search(lambda i: x.locates_left(enumerate_rational(i), enumerate_rational(i) + 1))
-    return enumerate_rational(n) + 1
+    k = bounded_search(lambda k: x.locates_left(2**k, 2 ** (k + 1)))
+    return Fraction(2 ** (k + 1))
 
 
 def _scan(x: CReal, lo: Rational, hi: Rational, step: Rational) -> tuple[Rational, Rational]:

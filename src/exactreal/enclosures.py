@@ -2,22 +2,22 @@
 
 An integral's convergence modulus can demand grids with millions of
 points, and bracketing every f(x_k) through a locator costs a full
-evaluation per point.  For the integrands that actually show up
-(polynomials, exp, sin and cos of affine arguments, and sin of an affine
-phase with exponential drift) consecutive grid values obey a one-step
-recurrence, so the whole sum is enclosed by running that recurrence on
+evaluation per point.  The integrands that actually show up need no walk
+over the grid: polynomials sum exactly, and sums of exp, sin and cos of
+affine arguments have closed forms (a geometric series, a Dirichlet
+kernel) that three series windows enclose.  Only sin of an affine phase
+with exponential drift runs a chain: a one-step recurrence on
 integer-scaled windows with outward rounding.  Windows only ever contain
 the true values, which makes every result sound by construction; the
-width tolerance is met by rerunning a chain with sharpened parameters
-when the first sizing guess falls short.  The series windows at a single
-rational point also carry arith's exp, sin and cos.
+width tolerance is met by recomputing with sharper windows.  The series
+windows at a single rational point also carry arith's exp, sin and cos.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from exactreal.rational import Rational, RationalLike, as_rational, require_positive
 
@@ -26,6 +26,7 @@ if TYPE_CHECKING:
     from exactreal.analysis import Grid
 
 Window = tuple[Rational, Rational]
+WindowFn = Callable[[Rational, Rational], Window]
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +87,10 @@ def cos_window(q: RationalLike, tol: RationalLike) -> Window:
     return _series_window(q, tol, (1, 0, -1, 0))
 
 
+def _sinh_window(q: RationalLike, tol: RationalLike) -> Window:
+    return _series_window(q, tol, (0, 1, 0, 1))
+
+
 # ---------------------------------------------------------------------------
 # Exact polynomial sums.
 # ---------------------------------------------------------------------------
@@ -126,9 +131,76 @@ def poly_grid_sum(coeffs: Sequence[RationalLike], grid: Grid) -> Window:
 
 
 # ---------------------------------------------------------------------------
-# Window chains.  State is a pair of integers (lo, hi) meaning the window
-# [lo/den, hi/den]; each step multiplies by a fixed factor window and
-# rounds outward, so containment of the true value is invariant.
+# Closed-form sums of exp, sin and cos over arithmetic grids.
+# ---------------------------------------------------------------------------
+
+
+def _iv_mul(al: Rational, au: Rational, bl: Rational, bu: Rational) -> Window:
+    """Product window from endpoint products; no sign assumptions."""
+    ps = (al * bl, al * bu, au * bl, au * bu)
+    return min(ps), max(ps)
+
+
+def _kernel_sum(
+    lead: WindowFn, kernel: WindowFn, u0: Rational, d: Rational, n: int, tol: Rational
+) -> Window:
+    # sum(f(u0 + k*d) for k < n) = f(mid) * K(n*d/2) / K(d/2) with
+    # mid = u0 + (n-1)*d/2: (f, K) = (exp, sinh) sums a geometric series
+    # and (sin or cos, sin) a Dirichlet kernel.  K(d/2) is nonzero for
+    # rational d != 0, so shrinking the windows eventually excludes 0
+    # from the divisor and brings the product under tol; at d = 0 the
+    # ratio is n.
+    if d == 0:
+        lo, hi = lead(u0, tol / n)
+        return n * lo, n * hi
+    mid = u0 + (n - 1) * d / 2
+    delta = tol
+    while True:
+        dl, du = kernel(d / 2, delta)
+        if dl > 0 or du < 0:
+            ratio = _iv_mul(*kernel(n * d / 2, delta), 1 / du, 1 / dl)
+            lo, hi = _iv_mul(*lead(mid, delta), *ratio)
+            if hi - lo <= tol:
+                return lo, hi
+        delta /= 16
+
+
+def exp_grid_sum(offset: RationalLike, scale: RationalLike, grid: Grid, tol: RationalLike) -> Window:
+    """Enclose sum(exp(offset + scale*x) for x in grid) within tol.
+
+    The sum is geometric, so three series windows enclose it whatever
+    the point count: exp at the middle phase times sinh(n*d/2)/sinh(d/2),
+    where d = scale*step.
+    """
+    offset, scale = as_rational(offset), as_rational(scale)
+    tol = require_positive(tol, "sum tolerance")
+    u0 = offset + scale * grid.start
+    return _kernel_sum(exp_window, _sinh_window, u0, scale * grid.step, len(grid), tol)
+
+
+def trig_grid_sum(
+    kind: str, offset: RationalLike, scale: RationalLike, grid: Grid, tol: RationalLike
+) -> Window:
+    """Enclose sum(sin(offset + scale*x) for x in grid) within tol, or cos.
+
+    The sum is a Dirichlet kernel, so three series windows enclose it
+    whatever the point count: sin or cos at the middle phase times
+    sin(n*d/2)/sin(d/2), where d = scale*step.
+    """
+    if kind not in ("sin", "cos"):
+        raise ValueError("kind must be 'sin' or 'cos'")
+    offset, scale = as_rational(offset), as_rational(scale)
+    tol = require_positive(tol, "sum tolerance")
+    lead = sin_window if kind == "sin" else cos_window
+    u0 = offset + scale * grid.start
+    return _kernel_sum(lead, sin_window, u0, scale * grid.step, len(grid), tol)
+
+
+# ---------------------------------------------------------------------------
+# Window chain for sin of an affine phase plus exp, which has no closed
+# form.  State is a pair of integers (lo, hi) meaning the window
+# [lo/den, hi/den]; each step multiplies by a factor window and rounds
+# outward, so containment of the true value is invariant.
 # ---------------------------------------------------------------------------
 
 
@@ -140,46 +212,6 @@ def _scaled(window: Window, den: int) -> tuple[int, int]:
 
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
-
-
-def _iv_mul(al: int, au: int, bl: int, bu: int) -> tuple[int, int]:
-    """Product window from endpoint products; no sign assumptions."""
-    ps = (al * bl, al * bu, au * bl, au * bu)
-    return min(ps), max(ps)
-
-
-def exp_grid_sum(offset: RationalLike, scale: RationalLike, grid: Grid, tol: RationalLike) -> Window:
-    """Enclose sum(exp(offset + scale*x) for x in grid) within tol.
-
-    Along the grid the value advances by the constant factor
-    exp(scale*step), so the chain costs one integer multiply and outward
-    round per point.  The denominator and factor-window widths are sized
-    so the accumulated width lands under tol; the final check reruns the
-    chain sharper if they did not.
-    """
-    offset, scale = as_rational(offset), as_rational(scale)
-    tol = require_positive(tol, "sum tolerance")
-    n = len(grid)
-    u0 = offset + scale * grid.start
-    d = scale * grid.step
-    peak = max(u0, u0 + (n - 1) * d)
-    cap = max(1, math.ceil(exp_window(peak, Fraction(1))[1]))
-    delta = tol / (8 * n * n * cap)
-    while True:
-        den = math.ceil(4 / delta)
-        lo, hi = _scaled(exp_window(u0, delta), den)
-        el, eu = _scaled(exp_window(d, delta), den)
-        lo, el = max(lo, 0), max(el, 0)
-        top = cap * den
-        sl = su = 0
-        for _ in range(n):
-            sl += lo
-            su += hi
-            lo = lo * el // den
-            hi = min(_ceil_div(hi * eu, den), top)
-        if Fraction(su - sl, den) <= tol:
-            return Fraction(sl, den), Fraction(su, den)
-        delta /= 16
 
 
 def _nearest_div(a: int, b: int) -> int:
@@ -200,48 +232,6 @@ def _rotate_ball(ms: int, mc: int, r: int, mp: int, mq: int, hw: int, den: int):
     nmc = _nearest_div(mc * mq - ms * mp, den)
     nr = r + _ceil_div(r * (hw + 1) + (den + r) * hw, den) + 1
     return nms, nmc, nr
-
-
-def trig_grid_sum(
-    kind: str, offset: RationalLike, scale: RationalLike, grid: Grid, tol: RationalLike
-) -> Window:
-    """Enclose sum(sin(offset + scale*x) for x in grid) within tol, or cos.
-
-    The pair (sin u, cos u) advances along the grid by a fixed rotation
-    whose entry windows are computed once, carried as a centre-and-radius
-    disk so the error grows additively with the point count.
-    """
-    if kind not in ("sin", "cos"):
-        raise ValueError("kind must be 'sin' or 'cos'")
-    offset, scale = as_rational(offset), as_rational(scale)
-    tol = require_positive(tol, "sum tolerance")
-    n = len(grid)
-    u0 = offset + scale * grid.start
-    d = scale * grid.step
-    want_sin = kind == "sin"
-    delta = tol / (16 * n * n)
-    while True:
-        den = math.ceil(8 / delta)
-        sl, su = _scaled(sin_window(u0, delta), den)
-        cl, cu = _scaled(cos_window(u0, delta), den)
-        pl, pu = _scaled(sin_window(d, delta), den)
-        ql, qu = _scaled(cos_window(d, delta), den)
-        mp, hp = (pl + pu) // 2, (pu - pl) // 2 + 1
-        mq, hq = (ql + qu) // 2, (qu - ql) // 2 + 1
-        ms, mc = (sl + su) // 2, (cl + cu) // 2
-        r = (su - sl) // 2 + (cu - cl) // 2 + 2
-        tl = tu = 0
-        for _ in range(n):
-            if want_sin:
-                tl += ms - r
-                tu += ms + r
-            else:
-                tl += mc - r
-                tu += mc + r
-            ms, mc, r = _rotate_ball(ms, mc, r, mp, mq, hp + hq, den)
-        if Fraction(tu - tl, den) <= tol:
-            return Fraction(tl, den), Fraction(tu, den)
-        delta /= 16
 
 
 def _sin_small(dl: int, du: int, den: int) -> tuple[int, int]:

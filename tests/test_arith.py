@@ -142,6 +142,11 @@ def test_fold_size_bound():
     _assert_folds(product, Fraction(3**300, 2**300))
 
 
+def test_mul_of_operand_past_two_to_the_128():
+    # The magnitude bounds of mul probe up to 2^252 here.
+    _assert_lifted(mul(O(2**251), O(3)), Fraction(3 * 2**251))
+
+
 def test_mul_spread_law():
     # Replaying the bracket choices: corner products stay within eps.
     for vx, vy, q, r in [

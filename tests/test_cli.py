@@ -6,6 +6,7 @@ subprocess tests go through ``python -m exactreal`` so they exercise the
 installed package rather than the shell PATH.
 """
 
+import math
 import re
 import subprocess
 import sys
@@ -198,3 +199,16 @@ def test_exact_zero_divisor_fails_fast_at_default_cap(capsys):
     assert len(err.splitlines()) == 1
     assert err.startswith("error: domain: no apartness witness")
     assert elapsed < 5
+
+
+def test_default_integral_of_exp_answers_in_seconds(capsys):
+    # The default -n 6 needs grids of about 10^6 points; the closed-form
+    # grid sums make their cost independent of the point count.
+    start = time.monotonic()
+    assert main(["integrate", "exp(x)", "--from", "0", "--to", "1"]) == 0
+    elapsed = time.monotonic() - start
+    out, _ = capsys.readouterr()
+    # Oracle: e - 1 = sum of 1/k! for 1 <= k <= 20, tail below 1/20!.
+    e_minus_one = sum(Fraction(1, math.factorial(k)) for k in range(1, 21))
+    assert abs(digit_prefix(out) - e_minus_one) < Fraction(1, 10**6)
+    assert elapsed < 10

@@ -113,6 +113,12 @@ def test_bounds_on_fresh_rational_five():
     assert y.query_count == 4
 
 
+def test_bounds_double_past_two_to_the_128():
+    # The dyadic probes run up to the search cap, not a fixed 128 steps.
+    assert upper_bound(from_rational(2**200)) == 2**201
+    assert lower_bound(from_rational(-(2**200))) == -(2**201)
+
+
 @given(small)
 def test_bounds_straddle_the_value(v):
     x = from_rational(v)

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -88,14 +89,18 @@ def test_poly_grid_sum_degenerate_polynomials():
     assert poly_grid_sum((F(5),), grid) == (45, 45)
 
 
-# --- exp chain ----------------------------------------------------------------
+# --- closed-form exp sums --------------------------------------------------------
 
 
 def test_exp_grid_sum_contains_float_sum():
-    grid = Grid(0, F(1, 200), 200)
-    w = exp_grid_sum(0, 1, grid, F(1, 10**6))
-    assert w[1] - w[0] <= F(1, 10**6)
-    assert_contains(w, sum(math.exp(k / 200) for k in range(200)))
+    cases = [
+        (0, 1, Grid(0, F(1, 200), 200), F(1, 10**6)),
+        (F(1, 3), 0, Grid(-2, F(1, 7), 40), F(1, 10**8)),  # scale 0
+    ]
+    for offset, scale, grid, tol in cases:
+        w = exp_grid_sum(offset, scale, grid, tol)
+        assert w[1] - w[0] <= tol
+        assert_contains(w, sum(math.exp(offset + scale * x) for x in grid))
 
 
 def test_exp_grid_sum_negative_scale():
@@ -111,6 +116,7 @@ def test_exp_grid_sum_single_point():
     direct = exp_window(F(1, 2), F(1, 10**9))
     # Both windows contain exp(1/2), so they must overlap.
     assert w[0] <= direct[1] and direct[0] <= w[1]
+    assert w[1] - w[0] <= F(1, 10**9)
 
 
 def test_exp_grid_sum_crosses_pointwise_windows():
@@ -129,24 +135,47 @@ def test_exp_grid_sum_meets_tiny_tolerance():
     assert w[1] - w[0] <= F(1, 10**25)
 
 
-# --- rotation chain -------------------------------------------------------------
+def test_closed_forms_on_two_million_points():
+    # The cost does not grow with the point count.
+    n = 2_040_000
+    grid = Grid(0, F(1, n), n)
+    start = time.perf_counter()
+    we = exp_grid_sum(0, 1, grid, F(1, 10**6))
+    ws = trig_grid_sum("sin", 0, 1, grid, F(1, 10**6))
+    assert time.perf_counter() - start < 1
+    # Float closed forms, each good to a few ulps of sums near 10^6.
+    h = 1 / n
+    assert_contains(we, (math.e - 1) / math.expm1(h), slack=1e-8)
+    dirichlet = math.sin((n - 1) * h / 2) * math.sin(1 / 2) / math.sin(h / 2)
+    assert_contains(ws, dirichlet, slack=1e-8)
+
+
+# --- closed-form sin and cos sums -------------------------------------------------
 
 
 def test_trig_grid_sum_contains_float_sums():
-    grid = Grid(0, F(1, 100), 100)
-    ws = trig_grid_sum("sin", F(1, 3), 1, grid, F(1, 10**5))
-    wc = trig_grid_sum("cos", F(1, 3), 1, grid, F(1, 10**5))
-    assert ws[1] - ws[0] <= F(1, 10**5)
-    assert wc[1] - wc[0] <= F(1, 10**5)
-    assert_contains(ws, sum(math.sin(1 / 3 + k / 100) for k in range(100)))
-    assert_contains(wc, sum(math.cos(1 / 3 + k / 100) for k in range(100)))
+    cases = [
+        (F(1, 3), 1, Grid(0, F(1, 100), 100), F(1, 10**5)),
+        (F(2, 3), 0, Grid(1, F(1, 9), 25), F(1, 10**8)),  # scale 0
+        (F(2, 3), 5, Grid(F(1, 4), 1, 1), F(1, 10**8)),  # one point
+        # d/2 = 355/113 lies within 3e-7 of pi, so the divisor sin(d/2)
+        # is tiny and its window must shrink far below it.
+        (0, F(710, 113), Grid(0, 1, 10), F(1, 10**6)),
+    ]
+    for offset, scale, grid, tol in cases:
+        for kind, f in (("sin", math.sin), ("cos", math.cos)):
+            w = trig_grid_sum(kind, offset, scale, grid, tol)
+            assert w[1] - w[0] <= tol
+            assert_contains(w, sum(f(offset + scale * x) for x in grid))
 
 
 def test_trig_grid_sum_negative_scale():
     grid = Grid(F(1, 2), F(1, 30), 90)
-    w = trig_grid_sum("sin", 0, -3, grid, F(1, 1000))
-    oracle = sum(math.sin(-3 * (0.5 + k / 30)) for k in range(90))
-    assert_contains(w, oracle, slack=1e-7)
+    for kind, f in (("sin", math.sin), ("cos", math.cos)):
+        w = trig_grid_sum(kind, 0, -3, grid, F(1, 1000))
+        oracle = sum(f(-3 * (0.5 + k / 30)) for k in range(90))
+        assert w[1] - w[0] <= F(1, 1000)
+        assert_contains(w, oracle, slack=1e-7)
 
 
 def test_trig_grid_sum_rejects_unknown_kind():
