@@ -47,6 +47,7 @@ from exactreal.core import (
     tight_bound,
     upper_bound,
 )
+from exactreal.enclosures import Window
 from exactreal.rational import (
     Rational,
     RationalLike,
@@ -99,29 +100,34 @@ class Grid:
 def _grid_sum(f: RealMap, grid: Grid) -> CReal:
     """step * (sum of f over the grid), answered from exact rational enclosures.
 
-    Per query (q, r) the sum is enclosed to width below (r - q)/2, via
-    f.sum_enclosure when the map carries one and per-point tight bounds
-    otherwise; the per-point path rebuilds tolerance from scratch each
-    query, so it is only for small grids.
+    Query (q, r) reads an enclosure of the sum narrower than tol = (r - q)/2,
+    from f.sum_enclosure or else per-point tight bounds (small grids only).
+    Enclosures are kept per exact tol, so the same-width queries of a
+    tight_bound scan share one; with a hook, answers depend on (q, r) alone.
     """
     values: dict[Rational, CReal] = {}
+    windows: dict[Rational, Window] = {}
+
+    def enclose(tol: Rational) -> Window:
+        if f.sum_enclosure is not None:
+            return f.sum_enclosure(grid, tol / grid.step)
+        lo = hi = Fraction(0)
+        slack = tol / (grid.step * grid.count)
+        for point in grid:
+            if point not in values:
+                values[point] = f.apply(from_rational(point))
+            piece = tight_bound(values[point], slack)
+            lo += piece.lo
+            hi += piece.hi
+        return lo, hi
 
     def decide(q: Rational, r: Rational) -> Side:
         tol = (r - q) / 2
-        if f.sum_enclosure is not None:
-            lo, hi = f.sum_enclosure(grid, tol / grid.step)
-        else:
-            lo = hi = Fraction(0)
-            slack = tol / (grid.step * grid.count)
-            for point in grid:
-                real = values.get(point)
-                if real is None:
-                    real = f.apply(from_rational(point))
-                    values[point] = real
-                piece = tight_bound(real, slack)
-                lo += piece.lo
-                hi += piece.hi
-        return Side.RIGHT if q < grid.step * lo else Side.LEFT
+        window = windows.get(tol)
+        if window is None:
+            # decide runs outside the real's lock; the first window stored wins.
+            window = windows.setdefault(tol, enclose(tol))
+        return Side.RIGHT if q < grid.step * window[0] else Side.LEFT
 
     return CReal(decide, name=f"sum/{grid.count}")
 

@@ -3,8 +3,8 @@
 Expressions use the grammar of exactreal.expr: rational literals, the
 constants pi and e, the functions exp, sin, cos, abs, recip, min, max,
 the operators + - * / with the usual precedence, and a variable x in
-the integrate and root subcommands.  An expression argument of "-"
-reads the expression from stdin instead.
+the integrate and root subcommands.  An expression argument of "-" reads
+stdin; one that starts with "-" goes after "--": digits -n 4 -- "-pi".
 
 Output is line-oriented plain text and deterministic for fixed flags.
 Any failure prints a single line "error: <kind>: <message>" on stderr;
@@ -130,6 +130,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+_EXPR_HELP = '{}, or "-" for stdin; after "--" when it starts with "-"'
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="exactreal",
@@ -158,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     digits = commands.add_parser(
         "digits", help="signed-digit expansion of an expression"
     )
-    digits.add_argument("expression", help='closed expression, or "-" for stdin')
+    digits.add_argument("expression", help=_EXPR_HELP.format("closed expression"))
     digits.add_argument(
         "-n",
         dest="digits",
@@ -170,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     digits.set_defaults(handler=_cmd_digits)
 
     bounds = commands.add_parser("bounds", help="rational bracket of width below eps")
-    bounds.add_argument("expression", help='closed expression, or "-" for stdin')
+    bounds.add_argument("expression", help=_EXPR_HELP.format("closed expression"))
     bounds.add_argument(
         "--eps",
         type=_positive_rational,
@@ -183,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     integrate_cmd = commands.add_parser(
         "integrate", help="integral of an expression in x over [A, B]"
     )
-    integrate_cmd.add_argument("expression", help='expression in x, or "-" for stdin')
+    integrate_cmd.add_argument("expression", help=_EXPR_HELP.format("expression in x"))
     integrate_cmd.add_argument(
         "--from",
         dest="from_",
@@ -213,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     root = commands.add_parser("root", help="zero of an expression in x on [A, B]")
     root.add_argument(
         "expression",
-        help='expression in x with f(A) <= 0 <= f(B), or "-" for stdin',
+        help=_EXPR_HELP.format("expression in x with f(A) <= 0 <= f(B)"),
     )
     root.add_argument(
         "--lo",

@@ -1,4 +1,9 @@
 import math
+import random
+import sys
+import threading
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -107,6 +112,116 @@ def test_grid_sum_uses_enclosure_hook():
     exact = riemann_sum(lambda t: t, 0, 1, 8)
     assert s.locate(exact, exact + 1) is Side.LEFT
     assert calls and calls[0][0] == 8
+
+
+def test_grid_sum_encloses_once_per_width():
+    # tight_bound asks several same-width queries per scan; the hook must
+    # see each tolerance once.  The window is a fixed fraction of tol wide,
+    # so the scan needs the answers of many widths.
+    calls = Counter()
+
+    def hook(grid, tol):
+        calls[tol] += 1
+        total = affine_sum(grid, tol)[0]
+        return total - tol / 3, total + tol / 3
+
+    lin = RealMap(apply=lambda u: u, modulus=lambda e: F(e), sum_enclosure=hook)
+    s = _grid_sum(lin, Grid(F(0), F(1, 8), 8))
+    b = tight_bound(s, F(1, 10**4))
+    assert b.lo < riemann_sum(lambda t: t, 0, 1, 8) < b.hi
+    assert len(calls) > 1
+    assert set(calls.values()) == {1}
+
+
+def test_per_point_grid_sum_reuses_same_width_work(monkeypatch):
+    import exactreal.analysis as analysis
+
+    applied, bounded = [], []
+    square = RealMap(apply=lambda u: applied.append(u) or mul(u, u), name="t*t")
+    counted = analysis.tight_bound
+    monkeypatch.setattr(
+        analysis, "tight_bound", lambda x, eps: bounded.append(eps) or counted(x, eps)
+    )
+    s = _grid_sum(square, Grid(F(0), F(1, 4), 4))
+    exact = riemann_sum(lambda t: t * t, 0, 1, 4)
+    width = F(1, 100)
+    assert s.locate(exact - 2 * width, exact - width) is Side.RIGHT
+    assert (len(applied), len(bounded)) == (4, 4)
+    for shift in (F(1, 7), F(1, 3), F(-1, 2), F(3)):
+        s.locate(exact + shift, exact + shift + width)
+    assert (len(applied), len(bounded)) == (4, 4)
+    s.locate(exact, exact + width / 2)
+    assert (len(applied), len(bounded)) == (4, 8)
+
+
+def test_grid_sum_answers_do_not_depend_on_query_order():
+    # The hook's window sits off-centre by a share of tol, so queries near
+    # the sum go either way depending on their width; a memo keyed on the
+    # tightest window seen so far would answer them by history instead.
+    def hook(grid, tol):
+        total = affine_sum(grid, tol)[0]
+        return total - tol / 2, total + tol / 4
+
+    lin = RealMap(apply=lambda u: u, modulus=lambda e: F(e), sum_enclosure=hook)
+    grid = Grid(F(0), F(1, 8), 8)
+    exact = riemann_sum(lambda t: t, 0, 1, 8)
+    queries = [
+        (exact + F(k, 64) - width, exact + F(k, 64) + width)
+        for width in (F(1, 2), F(1, 8), F(1, 32), F(1, 128))
+        for k in range(-3, 4)
+    ]
+    forward = _grid_sum(lin, grid)
+    backward = _grid_sum(lin, grid)
+    sides = [forward.locate(q, r) for q, r in queries]
+    reversed_sides = [backward.locate(q, r) for q, r in reversed(queries)]
+    assert sides == reversed_sides[::-1]
+    assert Side.RIGHT in sides and Side.LEFT in sides
+
+
+def test_concurrent_same_width_queries_share_one_window():
+    # The hook's window moves with every call, so threads that each answered
+    # from their own enclosure would split one width's queries between
+    # windows; the first window stored must serve them all.  A threshold
+    # q < step * lo then separates RIGHT from LEFT at each width.
+    calls = []
+
+    def hook(grid, tol):
+        calls.append(tol)
+        shift = tol * (1 + len(calls) % 4) / 8
+        time.sleep(0.001)
+        lo = affine_sum(grid, tol)[0] - shift
+        return lo, lo + 3 * tol / 4
+
+    lin = RealMap(apply=lambda u: u, modulus=lambda e: F(e), sum_enclosure=hook)
+    s = _grid_sum(lin, Grid(F(0), F(1, 8), 8))
+    exact = riemann_sum(lambda t: t, 0, 1, 8)
+    queries = [
+        (exact - w * j / 64, exact - w * j / 64 + w)
+        for w in (F(1, k) for k in range(2, 26))
+        for j in range(17)
+    ]
+    answers: dict = {}
+
+    def worker(seed):
+        order = random.Random(seed).sample(queries, len(queries))
+        for q, r in order:
+            answers[q, r] = s.locate(q, r)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(answers) == len(queries)
+    for width in {r - q for q, r in queries}:
+        sides = [answers[q, r] for q, r in sorted(queries) if r - q == width]
+        assert sides == sorted(sides, key=lambda side: side is Side.LEFT)
 
 
 # --- integrate -----------------------------------------------------------------

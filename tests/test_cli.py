@@ -212,3 +212,10 @@ def test_default_integral_of_exp_answers_in_seconds(capsys):
     e_minus_one = sum(Fraction(1, math.factorial(k)) for k in range(1, 21))
     assert abs(digit_prefix(out) - e_minus_one) < Fraction(1, 10**6)
     assert elapsed < 10
+
+
+def test_leading_minus_expression_after_double_dash(capsys):
+    # argparse reads "-pi" as a flag; "--" ends the options.
+    assert main(["digits", "-n", "4", "--", "-pi"]) == 0
+    out, _ = capsys.readouterr()
+    assert abs(digit_prefix(out) + Fraction(math.pi)) < Fraction(1, 10**4)

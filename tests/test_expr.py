@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -262,6 +263,34 @@ def test_integrate_sin_expression():
     b = tight_bound(integrate(f, 0, 1), F(1, 1000))
     target = 1 - math.cos(1)
     assert float(b.lo) - 1e-9 <= target <= float(b.hi) + 1e-9
+
+
+def test_integrate_sin_of_affine_plus_exp_against_quadrature(monkeypatch):
+    # The sin(x + exp(x)) chain is the only grid sum that still walks every
+    # point, so each member must run it once per query width, not per query.
+    import mpmath
+
+    from exactreal import expr
+
+    calls = Counter()
+    chain = expr.sin_exp_grid_sum
+
+    def counted(a, b, c, d, grid, tol):
+        calls[grid, tol] += 1
+        return chain(a, b, c, d, grid, tol)
+
+    monkeypatch.setattr(expr, "sin_exp_grid_sum", counted)
+    f = integrand_map(parse("sin(x + exp(x))"), 0, 1)
+    b = tight_bound(integrate(f, 0, 1), F(1, 100))
+    with mpmath.workdps(30):
+        value, error = mpmath.quad(
+            lambda t: mpmath.sin(t + mpmath.exp(t)), [0, 1], error=True
+        )
+        slack = 2 * error + mpmath.mpf(10) ** -20
+        lo, hi = (F(mpmath.nstr(v, 25)) for v in (value - slack, value + slack))
+    assert b.lo < lo and hi < b.hi
+    assert b.width < F(1, 100)
+    assert calls and set(calls.values()) == {1}
 
 
 def test_integrate_mixed_expression():
