@@ -371,6 +371,22 @@ def cos(x: CReal) -> CReal:
     return _window_real(x, _lipschitz(cos_window), name=f"cos({_clip(x.name)})")
 
 
+def _arctan_modulus(q: Rational, eps: RationalLike) -> int:
+    """Least n with |q|^(2n+3)/(2n+3) < eps: the first term that partial sum n omits.
+
+    With |q| = a/b and eps = c/d the test is a^(2n+3) d < c b^(2n+3) (2n+3)
+    over integers, the two powers stepping by a^2 and b^2.
+    """
+    eps = require_positive(eps, "eps")
+    a, b = abs(q.numerator), q.denominator
+    lhs, rhs = a**3 * eps.denominator, eps.numerator * b**3
+    for n in range(get_search_cap()):
+        if lhs < rhs * (2 * n + 3):
+            return n
+        lhs, rhs = lhs * (a * a), rhs * (b * b)
+    raise SearchExhausted("arctan tail bound not reached under cap")
+
+
 def arctan_rational(q: RationalLike) -> CReal:
     """arctan q for rational |q| < 1, as rational alternating partial sums.
 
@@ -390,15 +406,7 @@ def arctan_rational(q: RationalLike) -> CReal:
             partials.append((partials[-1] if partials else 0) + term)
         return from_rational(partials[n])
 
-    def modulus(eps: RationalLike) -> int:
-        eps = require_positive(eps, "eps")
-        g = abs(q)
-        for n in range(get_search_cap()):
-            if g ** (2 * n + 3) / (2 * n + 3) < eps:
-                return n
-        raise SearchExhausted("arctan tail bound not reached under cap")
-
-    return limit(partial, modulus, name=f"arctan({q})")
+    return limit(partial, lambda eps: _arctan_modulus(q, eps), name=f"arctan({q})")
 
 
 def pi() -> CReal:

@@ -118,7 +118,9 @@ class CReal:
     Wraps the deciding function with a synchronized memo of answered queries
     plus the tightest bracket implied by those answers: every RIGHT at (q, r)
     certifies q < x and every LEFT certifies x < r, so the cache tightens for
-    free as a side effect of use.  Shareable across threads.
+    free as a side effect of use.  Shareable across threads.  The memo is keyed
+    on the reduced numerators and denominators of q and r, which name the same
+    queries and hash without the modular inverse Fraction.__hash__ computes.
 
     `exact` is the value itself when the real was built by from_rational
     (and None otherwise).  The searches in this module never read it: they
@@ -133,7 +135,7 @@ class CReal:
         self._decide = decide
         self.name = name
         self._lock = threading.RLock()
-        self._answers: dict[tuple[Rational, Rational], Side] = {}
+        self._answers: dict[tuple[int, int, int, int], Side] = {}
         self._lo: Optional[Rational] = None
         self._hi: Optional[Rational] = None
         self._evals = 0
@@ -149,8 +151,9 @@ class CReal:
         r = as_rational(r)
         if not q < r:
             raise ValueError(f"locate requires q < r, got q={q}, r={r}")
+        key = (q.numerator, q.denominator, r.numerator, r.denominator)
         with self._lock:
-            hit = self._answers.get((q, r))
+            hit = self._answers.get(key)
         if hit is not None:
             return hit
         side = self._decide(q, r)
@@ -158,7 +161,7 @@ class CReal:
             raise TypeError(f"locator for {self.name} returned {side!r}, not a Side")
         with self._lock:
             self._evals += 1
-            side = self._answers.setdefault((q, r), side)
+            side = self._answers.setdefault(key, side)
             if side is Side.RIGHT:
                 if self._lo is None or q > self._lo:
                     self._lo = q
@@ -389,8 +392,10 @@ def to_cauchy(x: CReal) -> tuple[Callable[[int], Rational], Callable[[RationalLi
                 hit = memo.setdefault(n, mid)
         return hit
 
-    def modulus(eps: RationalLike) -> int:
-        target = require_positive(eps, "eps")
-        return bounded_search(lambda n: Fraction(2, 10**n) < target)
+    return sequence, decimal_modulus
 
-    return sequence, modulus
+
+def decimal_modulus(eps: RationalLike) -> int:
+    """Least n with 2 * 10^-n < eps, tested over integers as 2d < c * 10^n for eps = c/d."""
+    eps = require_positive(eps, "eps")
+    return bounded_search(lambda n: 2 * eps.denominator < eps.numerator * 10**n)

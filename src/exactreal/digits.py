@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Callable, Union
 
 from exactreal.arith import limit
-from exactreal.core import CReal, Side, bounded_search, from_rational, integer_bracket
-from exactreal.rational import Rational, RationalLike, require_positive
+from exactreal.core import CReal, Side, decimal_modulus, from_rational, integer_bracket
+from exactreal.rational import Rational
 
 
 class SignedDigitRep:
@@ -106,11 +106,7 @@ def from_signed_digits(rep: SignedDigitRep) -> CReal:
     def member(n: int) -> CReal:
         return from_rational(prefix_value(rep, n))
 
-    def modulus(eps: RationalLike) -> int:
-        target = require_positive(eps, "eps")
-        return bounded_search(lambda n: Fraction(2, 10**n) < target)
-
-    return limit(member, modulus, name="digits-limit")
+    return limit(member, decimal_modulus, name="digits-limit")
 
 
 def render_digits(rep: SignedDigitRep, n: int) -> str:

@@ -8,6 +8,7 @@ from exactreal.arith import (
     ApartnessWitness,
     RealMap,
     Sign,
+    _arctan_modulus,
     absolute,
     add,
     arctan_rational,
@@ -34,6 +35,8 @@ from exactreal.core import (
     Side,
     cotrans_rational,
     from_rational,
+    get_search_cap,
+    set_search_cap,
     tight_bound,
     to_cauchy,
     upper_bound,
@@ -370,6 +373,41 @@ def test_arctan_rejects_large_argument():
         arctan_rational(1)
     with pytest.raises(ValueError):
         arctan_rational(Fraction(-5, 3))
+
+
+def _fraction_scan(q: Fraction, epsilons: list[Fraction]) -> dict[Fraction, int]:
+    """Reference modulus in Fractions: least n with |q|^(2n+3)/(2n+3) < eps.
+
+    One upward walk over n serves the epsilons in decreasing order, since a
+    smaller eps can only need a larger n; the power steps by |q|^2.
+    """
+    g = abs(q)
+    n, power, least = 0, g**3, {}
+    for eps in sorted(set(epsilons), reverse=True):
+        while not power / (2 * n + 3) < eps:
+            n, power = n + 1, power * g * g
+        least[eps] = n
+    return least
+
+
+@pytest.mark.parametrize("q", ["1/5", "-1/5", "1/239", "3/4", "-2/3", "99/100"])
+def test_arctan_modulus_is_the_least_index(q):
+    q = Fraction(q)
+    epsilons = [Fraction(7, 3), Fraction(1), Fraction(1, 3), Fraction(1, 3 * 7**40)]
+    epsilons += [Fraction(1, 10**k) for k in range(121)]
+    least = _fraction_scan(q, epsilons)
+    assert [_arctan_modulus(q, eps) for eps in epsilons] == [least[eps] for eps in epsilons]
+
+
+def test_arctan_modulus_exhausts_at_the_cap():
+    assert _arctan_modulus(Fraction(1, 5), Fraction(1, 10**20)) > 5
+    previous = get_search_cap()
+    set_search_cap(5)
+    try:
+        with pytest.raises(SearchExhausted):
+            _arctan_modulus(Fraction(1, 5), Fraction(1, 10**20))
+    finally:
+        set_search_cap(previous)
 
 
 def _machin_oracle(n: int) -> tuple[Fraction, Fraction]:

@@ -1,0 +1,29 @@
+"""One pass of each benchmark workload, with every answer checked.
+
+bench/run.py checks each task's answer against oracles computed apart from
+the program (mpmath or exact rationals), so an edit that changes an answer
+fails here as well as in the benchmark.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+
+
+@pytest.mark.parametrize("workload", ["constants", "integrals", "roots"])
+def test_bench_workload_answers_correctly(workload):
+    done = subprocess.run(
+        [sys.executable, str(RUN), "--workload", workload, "--seed", "1", "--seconds", "0"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, done.stderr
+    assert result["failed"] == 0

@@ -14,6 +14,7 @@ from exactreal.core import (
     archimedean_midpoint,
     bounded_search,
     cotrans_rational,
+    evaluation_count,
     from_rational,
     from_rational_first,
     from_rational_second,
@@ -76,6 +77,21 @@ def test_locate_is_deterministic_and_memoized():
     for _ in range(100):
         assert x.locate(0, 1) is first
     assert x.query_count == 1
+
+
+def test_memo_key_is_the_reduced_rational():
+    x = from_rational(Fraction(1, 2))
+    before = evaluation_count()
+    first = x.locate(0, 1)
+    bracket = x.known_bracket()
+    assert x.locate("0", "1") is first
+    assert x.locate(Fraction(0), Fraction(2, 2)) is first
+    assert x.query_count == 1
+    assert evaluation_count() - before == 1
+    assert x.known_bracket() == bracket
+    # Same numerators as (0, 1), different rational: a miss.
+    x.locate(0, Fraction(1, 3))
+    assert x.query_count == 2
 
 
 def test_bounded_search_returns_least_index():
