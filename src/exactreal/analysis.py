@@ -14,8 +14,8 @@ explicit modulus:
   nonconstant_search.
 
 Endpoints may be given as rationals or as locator reals.  Integration
-is far cheaper on rational endpoints, where the sample grid stays exact
-and sums are enclosed without building one locator per grid point.
+takes its sample grids from rational brackets of locator endpoints, so
+both kinds cost about the same.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from typing import Callable, Iterator, Optional, Union
 from exactreal.arith import (
     RealMap,
     Sign,
+    absolute,
     add,
     limit,
     maximum,
@@ -44,6 +45,7 @@ from exactreal.core import (
     archimedean_midpoint,
     bounded_search,
     from_rational,
+    once,
     tight_bound,
     upper_bound,
 )
@@ -66,6 +68,10 @@ Endpoint = Union[CReal, RationalLike]
 
 def _as_real(value: Endpoint) -> CReal:
     return value if isinstance(value, CReal) else from_rational(value)
+
+
+def _exact(value: Endpoint) -> Optional[Rational]:
+    return value.exact if isinstance(value, CReal) else as_rational(value)
 
 
 @dataclass(frozen=True)
@@ -132,61 +138,54 @@ def _grid_sum(f: RealMap, grid: Grid) -> CReal:
     return CReal(decide, name=f"sum/{grid.count}")
 
 
-def _lifted_sum(f: RealMap, a: CReal, span: CReal, n: int) -> CReal:
-    """(span/n) * sum of f at the n left endpoints, as a tree of lifted ops."""
-    values = [f.apply(add(a, scalar_mul(Fraction(k, n), span))) for k in range(n)]
-    while len(values) > 1:
-        paired = [add(values[i], values[i + 1]) for i in range(0, len(values) - 1, 2)]
-        if len(values) % 2:
-            paired.append(values[-1])
-        values = paired
-    return mul(scalar_mul(Fraction(1, n), span), values[0])
-
-
 def integrate(f: RealMap, a: Endpoint, b: Endpoint) -> CReal:
     """The integral of f over [a, b] as a locator real.  Caller asserts a <= b.
 
-    Left-endpoint Riemann sums S_n converge to the integral: with B a
-    rational bound on b - a (exact for rational endpoints), a mesh at most
-    f.modulus(eps/(4B)) puts S_n within eps/4 of the integral, so members
-    from index B/modulus(eps/(4B)) on are pairwise within eps/2.  Raises
-    ValueError when f carries no continuity modulus.
-
-    Rational endpoints get the exact-grid members from _grid_sum; locator
-    endpoints fall back to _lifted_sum, practical only for coarse meshes.
+    Member n is the left-endpoint Riemann sum with n points over a rational
+    grid [a_n, b_n] inside [a, b]: an endpoint carrying `exact` is used as
+    it is, any other by the inner end of its bracket of width B/n.  B bounds
+    b - a (exactly so when both ends are exact) and M bounds |f| on [a, b]:
+    |f(a)| plus one for each step of length f.modulus(1) needed to cross
+    [a, b], or 0 when both ends are exact.  Past the index
+    max(B/mesh, 8MB/eps), mesh = f.modulus(eps/(4B)), the sum is within
+    eps/4 of the integral over [a_n, b_n], and the two cut-off ends, each
+    under B/n wide, add less than 2MB/n <= eps/4; so every such member is
+    within eps/2 of the integral.  When b_n <= a_n the member is 0, and
+    the whole integral is below 2MB/n.  Raises ValueError when f carries no
+    continuity modulus.
     """
     if f.modulus is None:
         raise ValueError("integration needs a uniform continuity modulus")
-    exact = not isinstance(a, CReal) and not isinstance(b, CReal)
-    if exact:
-        a_rat, b_rat = as_rational(a), as_rational(b)
-        if b_rat < a_rat:
+    a_exact, b_exact = _exact(a), _exact(b)
+    if a_exact is not None and b_exact is not None:
+        if b_exact < a_exact:
             raise ValueError("integration interval is reversed")
-        if b_rat == a_rat:
+        if b_exact == a_exact:
             return from_rational(0)
-    x, y = _as_real(a), _as_real(b)
-    span = sub(y, x)
-    cache: dict[str, Rational] = {}
-    lock = threading.Lock()
 
-    def magnitude() -> Rational:
-        if exact:
-            return b_rat - a_rat
-        with lock:
-            if "B" not in cache:
-                cache["B"] = upper_bound(span)
-            return cache["B"]
+    def measure() -> tuple[Rational, Rational]:
+        if a_exact is not None and b_exact is not None:
+            return b_exact - a_exact, Fraction(0)
+        x = _as_real(a)
+        span = upper_bound(sub(_as_real(b), x))
+        step = require_positive(f.modulus(1), "modulus value")
+        return span, upper_bound(absolute(f.apply(x))) + span // step + 1
+
+    bounds = once(measure)
 
     def member(n: int) -> CReal:
-        if exact:
-            return _grid_sum(f, Grid(a_rat, (b_rat - a_rat) / n, n))
-        return _lifted_sum(f, x, span, n)
+        width = bounds()[0] / n
+        start = a_exact if a_exact is not None else tight_bound(a, width).hi
+        stop = b_exact if b_exact is not None else tight_bound(b, width).lo
+        if stop <= start:
+            return from_rational(0)
+        return _grid_sum(f, Grid(start, (stop - start) / n, n))
 
     def modulus(eps: RationalLike) -> int:
         eps = require_positive(eps, "eps")
-        bound = magnitude()
-        mesh = require_positive(f.modulus(eps / (4 * bound)), "modulus value")
-        return math.ceil(bound / mesh)
+        span, size = bounds()
+        mesh = require_positive(f.modulus(eps / (4 * span)), "modulus value")
+        return max(math.ceil(span / mesh), math.ceil(8 * size * span / eps))
 
     return limit(member, modulus, name="integral")
 
@@ -214,7 +213,6 @@ def approx_ivt(f: RealMap, a: Endpoint, b: Endpoint, eps: RationalLike) -> CReal
     span = sub(y0, x0)
     zero, one, half = from_rational(0), from_rational(1), from_rational(Fraction(1, 2))
     lows, highs, centres = [x0], [y0], []
-    cache: dict[str, Rational] = {}
     lock = threading.Lock()
 
     def centre(n: int) -> CReal:
@@ -237,11 +235,7 @@ def approx_ivt(f: RealMap, a: Endpoint, b: Endpoint, eps: RationalLike) -> CReal
                 centres.append(c)
             return centres[n]
 
-    def magnitude() -> Rational:
-        with lock:
-            if "B" not in cache:
-                cache["B"] = upper_bound(span)
-            return cache["B"]
+    magnitude = once(lambda: upper_bound(span))
 
     def modulus(tol: RationalLike) -> int:
         tol = require_positive(tol, "eps")
@@ -333,7 +327,6 @@ def exact_ivt(f: RealMap, a: Endpoint, b: Endpoint) -> CReal:
     x0, y0 = _as_real(a), _as_real(b)
     zero = from_rational(0)
     rounds: list[tuple[CReal, CReal]] = [(x0, y0)]
-    cache: dict[str, Rational] = {}
     lock = threading.Lock()
 
     def left_end(n: int) -> CReal:
@@ -357,11 +350,7 @@ def exact_ivt(f: RealMap, a: Endpoint, b: Endpoint) -> CReal:
                     rounds.append((from_rational(witness.point), high_real))
             return rounds[n][0]
 
-    def magnitude() -> Rational:
-        with lock:
-            if "B" not in cache:
-                cache["B"] = upper_bound(sub(y0, x0))
-            return cache["B"]
+    magnitude = once(lambda: upper_bound(sub(y0, x0)))
 
     def modulus(eps: RationalLike) -> int:
         eps = require_positive(eps, "eps")

@@ -35,6 +35,7 @@ from exactreal.core import (
     Side,
     from_rational,
     get_search_cap,
+    once,
     tight_bound,
     upper_bound,
 )
@@ -214,14 +215,7 @@ def mul(x: CReal, y: CReal) -> CReal:
             return from_rational(value)
     bound_x = add(absolute(x), from_rational(1))
     bound_y = add(absolute(y), from_rational(1))
-    cache: dict = {}
-    lock = threading.Lock()
-
-    def magnitude_bounds() -> tuple[Rational, Rational]:
-        with lock:
-            if "zw" not in cache:
-                cache["zw"] = (upper_bound(bound_x), upper_bound(bound_y))
-            return cache["zw"]
+    magnitude_bounds = once(lambda: (upper_bound(bound_x), upper_bound(bound_y)))
 
     def decide(q: Rational, r: Rational) -> Side:
         z, w = magnitude_bounds()

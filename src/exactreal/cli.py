@@ -275,14 +275,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.cap is not None:
         core.set_search_cap(args.cap)
 
-    evaluations = 0
-
-    def count(name, q, r, side) -> None:
-        nonlocal evaluations
-        evaluations += 1
-
-    if args.trace:
-        core.set_trace_hook(count)
+    evaluations_before = core.evaluation_count()
     try:
         return args.handler(args)
     except ParseError as exc:
@@ -300,7 +293,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     finally:
         core.set_search_cap(saved_cap)
         if args.trace:
-            core.set_trace_hook(None)
+            evaluations = core.evaluation_count() - evaluations_before
             print(f"trace: {evaluations} locator evaluations", file=sys.stderr)
 
 

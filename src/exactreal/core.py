@@ -17,7 +17,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, TypeVar
 
 from exactreal.rational import (
     Ordering,
@@ -243,6 +243,30 @@ def from_rational_second(s: RationalLike) -> CReal:
 from_rational = from_rational_first
 
 
+T = TypeVar("T")
+
+
+def once(thunk: Callable[[], T]) -> Callable[[], T]:
+    """A getter for thunk(), computed on the first call under a lock and kept.
+
+    The thunk is dropped once it has returned, and with it whatever only it
+    referenced (the magnitude reals of a product, say).
+    """
+    lock = threading.Lock()
+    pending: Optional[Callable[[], T]] = thunk
+    value: Optional[T] = None
+
+    def get() -> T:
+        nonlocal pending, value
+        with lock:
+            if pending is not None:
+                value = pending()
+                pending = None
+            return value
+
+    return get
+
+
 def bounded_search(predicate: Callable[[int], bool], cap: Optional[int] = None) -> int:
     """Least n with predicate(n), scanning n = 0, 1, 2, ... up to a cap.
 
@@ -308,16 +332,10 @@ def tight_bound(x: CReal, eps: RationalLike) -> Bracket:
     width exactly 2*eps/3.
     """
     eps = require_positive(eps, "eps")
-    lo, hi = x.known_bracket()
-    if lo is None:
-        lo = lower_bound(x)
-    if hi is None:
-        hi = upper_bound(x)
+    lo, hi = lower_bound(x), upper_bound(x)
+    # Probing for either bound may certify a tighter other one.
     known_lo, known_hi = x.known_bracket()
-    if known_lo is not None:
-        lo = max(lo, known_lo)
-    if known_hi is not None:
-        hi = min(hi, known_hi)
+    lo, hi = max(lo, known_lo), min(hi, known_hi)
     while hi - lo >= eps:
         width = hi - lo
         step = width / 12 if width >= 6 * eps else eps / 3

@@ -6,6 +6,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from exactreal.analysis import (
@@ -17,9 +18,10 @@ from exactreal.analysis import (
     nonconstant_search,
 )
 from exactreal.analysis import _grid_sum
-from exactreal.arith import RealMap, Sign, add, exp, mul, sub
+from exactreal.arith import RealMap, Sign, add, exp, mul, pi, sub
 from exactreal.core import SearchExhausted, Side, from_rational, tight_bound
 from exactreal.digits import prefix_value, render_digits, to_signed_digits
+from exactreal.expr import integrand_map, parse
 
 F = Fraction
 
@@ -270,11 +272,57 @@ def test_integral_interval_edge_cases():
 
 
 def test_integral_with_locator_endpoints():
-    # b = exp(0) locates 1, so the integral of t over [0, b] is 1/2.
-    # The lifted-tree members are expensive; two forced queries suffice.
+    # b = exp(0) locates 1, so the integral of t over [0, b] is 1/2.  Without
+    # a hook each member walks its grid point by point, so the bare map gets
+    # two forced queries and the hooked one a bracket of width 1/100.
     integral = integrate(IDENTITY_BARE, from_rational(0), exp(from_rational(0)))
     assert integral.locate(F(1, 2), F(3, 2)) is Side.LEFT
     assert integral.locate(F(-1, 2), F(1, 2)) is Side.RIGHT
+    b = tight_bound(integrate(IDENTITY, from_rational(0), exp(from_rational(0))), F(1, 100))
+    assert b.lo < F(1, 2) < b.hi
+
+
+def brackets(oracle, integral, width):
+    """tight_bound(integral, width) holds oracle(), computed at 30 digits."""
+    b = tight_bound(integral, width)
+    assert b.width < width
+    with mpmath.workdps(30):
+        value = oracle()
+        assert mpmath.mpf(b.lo.numerator) / b.lo.denominator < value
+        assert value < mpmath.mpf(b.hi.numerator) / b.hi.denominator
+
+
+def test_integral_of_square_up_to_pi():
+    f = integrand_map(parse("x*x"), 0, 4)
+    brackets(lambda: mpmath.pi**3 / 3, integrate(f, 0, pi()), F(1, 100))
+
+
+def test_integral_of_sine_up_to_pi():
+    f = integrand_map(parse("sin(x)"), 0, 4)
+    brackets(lambda: 1 - mpmath.cos(mpmath.pi), integrate(f, 0, pi()), F(1, 100))
+
+
+def test_integral_between_equal_locators_is_zero():
+    # Two pi() reals: each member's grid would run from above pi to below
+    # it, so every member is the zero member.
+    integral = integrate(integrand_map(parse("x*x"), 0, 4), pi(), pi())
+    for w in (F(1), F(1, 10), F(1, 1000)):
+        assert integral.locate(w, 2 * w) is Side.LEFT
+        assert integral.locate(-2 * w, -w) is Side.RIGHT
+
+
+def test_integral_from_rational_to_locator():
+    f = integrand_map(parse("exp(x)"), 0, 2)
+    integral = integrate(f, F(1, 2), exp(from_rational(0)))
+    brackets(lambda: mpmath.e - mpmath.exp(mpmath.mpf(1) / 2), integral, F(1, 1000))
+
+
+def test_rational_reals_integrate_as_their_rationals():
+    f = integrand_map(parse("x*x"), 0, 1)
+    for width in (F(1, 10), F(1, 1000)):
+        plain = tight_bound(integrate(f, 0, 1), width)
+        lifted = tight_bound(integrate(f, from_rational(0), from_rational(1)), width)
+        assert plain == lifted
 
 
 # --- approx_ivt ----------------------------------------------------------------

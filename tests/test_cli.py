@@ -169,6 +169,21 @@ def test_trace_goes_to_stderr_only():
     assert int(match.group(1)) > 0
 
 
+def test_trace_keeps_the_callers_hook(capsys):
+    calls = []
+    core.set_trace_hook(lambda name, q, r, side: calls.append(name))
+    try:
+        assert main(["--trace", "digits", "1/3", "-n", "2"]) == 0
+        during = len(calls)
+        core.from_rational(1).locate(0, 2)
+    finally:
+        core.set_trace_hook(None)
+    _, err = capsys.readouterr()
+    assert err == "trace: 21 locator evaluations\n"
+    assert during == 21
+    assert len(calls) == 22
+
+
 def test_main_exit_codes_in_process(capsys):
     assert main(["digits", "1/2", "-n", "2"]) == 0
     assert main(["digits", "1 + * 2"]) == 2

@@ -1,4 +1,6 @@
+import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,7 @@ from exactreal.core import (
     from_rational_second,
     integer_bracket,
     lower_bound,
+    once,
     refine_lower,
     refine_upper,
     set_search_cap,
@@ -257,6 +260,35 @@ def test_concurrent_queries_are_consistent():
     for t in threads:
         t.join()
     assert all(r == results[0] for r in results)
+
+
+def test_once_computes_its_thunk_once_across_threads():
+    calls = []
+
+    def thunk():
+        calls.append(None)
+        time.sleep(0.01)  # widen the window in which a second call could start
+        return object()
+
+    get = once(thunk)
+    seen: list = [None] * 16
+
+    def worker(slot):
+        seen[slot] = get()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(16)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(calls) == 1
+    assert all(value is seen[0] for value in seen)
 
 
 def test_custom_locator_answer_type_checked():
