@@ -106,8 +106,10 @@ class Grid:
 def _grid_sum(f: RealMap, grid: Grid) -> CReal:
     """step * (sum of f over the grid), answered from exact rational enclosures.
 
-    Query (q, r) reads an enclosure of the sum narrower than tol = (r - q)/2,
-    from f.sum_enclosure or else per-point tight bounds (small grids only).
+    Query (q, r) reads an enclosure of the sum no wider than tol = (r - q)/2,
+    from f.sum_enclosure or else per point: a value carrying `exact` adds
+    the cell of a grid of width tol/(step*count) holding it, any other a
+    tight bound that narrow (small grids only).
     Enclosures are kept per exact tol, so the same-width queries of a
     tight_bound scan share one; with a hook, answers depend on (q, r) alone.
     """
@@ -122,7 +124,14 @@ def _grid_sum(f: RealMap, grid: Grid) -> CReal:
         for point in grid:
             if point not in values:
                 values[point] = f.apply(from_rational(point))
-            piece = tight_bound(values[point], slack)
+            value = values[point]
+            if value.exact is not None:
+                # Rounded outward to the slack grid: exact sums of values
+                # like 1/(1 + t*t) grow their denominators point by point.
+                k = value.exact // slack
+                lo, hi = lo + k * slack, hi + (k + 1) * slack
+                continue
+            piece = tight_bound(value, slack)
             lo += piece.lo
             hi += piece.hi
         return lo, hi
@@ -318,11 +327,13 @@ def exact_ivt(f: RealMap, a: Endpoint, b: Endpoint) -> CReal:
 
     Each round takes two rationals low < high inside the middle third of
     the current interval and asks nonconstant_search for a sign witness
-    in (low, high).  A positive witness q becomes the new right end: the
-    ends still satisfy f(a_n) <= 0 <= f(b_n).  A negative witness becomes
-    the new left end, likewise.  A root survives in every interval, the
-    ends are rational after round one, and widths shrink below
-    B * (2/3)^n, which is the convergence modulus of the left ends.
+    in (low, high).  Between rational ends they are the middle third's
+    centre and the midpoint from there to its right end; a locator end
+    needs archimedean_midpoint on the lifted cuts.  A positive witness q
+    becomes the new right end: the ends still satisfy f(a_n) <= 0 <= f(b_n).
+    A negative witness becomes the new left end, likewise.  A root survives
+    in every interval, and widths shrink below B * (2/3)^n, which is the
+    convergence modulus of the left ends.
     """
     x0, y0 = _as_real(a), _as_real(b)
     zero = from_rational(0)
@@ -333,16 +344,20 @@ def exact_ivt(f: RealMap, a: Endpoint, b: Endpoint) -> CReal:
         with lock:
             while len(rounds) <= n:
                 low_real, high_real = rounds[-1]
-                cut_l = add(
-                    scalar_mul(Fraction(2, 3), low_real),
-                    scalar_mul(Fraction(1, 3), high_real),
-                )
-                cut_r = add(
-                    scalar_mul(Fraction(1, 3), low_real),
-                    scalar_mul(Fraction(2, 3), high_real),
-                )
-                low = archimedean_midpoint(cut_l, cut_r)
-                high = archimedean_midpoint(from_rational(low), cut_r)
+                u, v = low_real.exact, high_real.exact
+                if u is not None and v is not None:
+                    low, high = (u + v) / 2, (5 * u + 7 * v) / 12
+                else:
+                    cut_l = add(
+                        scalar_mul(Fraction(2, 3), low_real),
+                        scalar_mul(Fraction(1, 3), high_real),
+                    )
+                    cut_r = add(
+                        scalar_mul(Fraction(1, 3), low_real),
+                        scalar_mul(Fraction(2, 3), high_real),
+                    )
+                    low = archimedean_midpoint(cut_l, cut_r)
+                    high = archimedean_midpoint(from_rational(low), cut_r)
                 witness = nonconstant_search(f, low, high, zero)
                 if witness.sign is Sign.POSITIVE:
                     rounds.append((low_real, from_rational(witness.point)))

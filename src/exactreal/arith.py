@@ -8,7 +8,7 @@ operands into brackets just tight enough that one side of the query becomes
 certain.  Limits of Cauchy sequences (given a modulus) close the system;
 pi is such a limit of rational arctan partial sums.  exp, sin and cos
 (and e = exp(1)) answer each query directly from rational series windows
-taken over a bracket of the argument.
+taken at a rational argument or over a bracket of any other.
 
 Rational operands fold.  When every operand carries `exact` (it was built
 by from_rational), neg, recip, min and max return from_rational of the
@@ -17,19 +17,21 @@ add, scalar_mul and mul fold only while the result's numerator and
 denominator fit in _FOLD_BITS bits: an iteration in exact arithmetic
 (a cubic update round after round) would otherwise grow its rationals
 without bound, where the lifted node only ever answers coarse queries.
-Anything else builds the lifted node.
+Anything else builds the lifted node; add with one rational operand c
+asks the other (q - c, r - c), and exp, sin and cos read a rational at
+the point, so neither searches a bracket.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from exactreal.core import (
-    Bracket,
     CReal,
     SearchExhausted,
     Side,
@@ -39,7 +41,7 @@ from exactreal.core import (
     tight_bound,
     upper_bound,
 )
-from exactreal.enclosures import Window, cos_window, exp_window, sin_window
+from exactreal.enclosures import Window, WindowFn, cos_window, exp_window, sin_window
 from exactreal.rational import Rational, RationalLike, as_rational, require_positive
 
 # M(eps) = N promises |seq(m) - seq(n)| < eps for all m, n >= N.
@@ -129,12 +131,21 @@ def add(x: CReal, y: CReal) -> CReal:
 
     Pin x into (u, v) with v - u < eps = (r - q)/2, then ask y about
     (q - u, q - u + eps).  RIGHT there gives x + y > u + (q - u) = q;
-    LEFT gives x + y < v + (q - u) + eps < q + 2*eps = r.
+    LEFT gives x + y < v + (q - u) + eps < q + 2*eps = r.  When one operand
+    is a rational c, the sum is a translation: the other answers (q - c, r - c).
     """
     if x.exact is not None and y.exact is not None:
         value = x.exact + y.exact
         if _fits(value):
             return from_rational(value)
+    name = f"({_clip(x.name)}+{_clip(y.name)})"
+    if x.exact is not None or y.exact is not None:
+        c, other = (x.exact, y) if x.exact is not None else (y.exact, x)
+
+        def shifted(q: Rational, r: Rational) -> Side:
+            return other.locate(q - c, r - c)
+
+        return CReal(shifted, name=name)
 
     def decide(q: Rational, r: Rational) -> Side:
         eps = (r - q) / 2
@@ -142,7 +153,7 @@ def add(x: CReal, y: CReal) -> CReal:
         s = q - u
         return y.locate(s, s + eps)
 
-    return CReal(decide, name=f"({_clip(x.name)}+{_clip(y.name)})")
+    return CReal(decide, name=name)
 
 
 def sub(x: CReal, y: CReal) -> CReal:
@@ -307,28 +318,37 @@ def limit(seq: Callable[[int], CReal], modulus: CauchyModulus, name: str = "limi
 
 # ---------------------------------------------------------------------------
 # Power series.  exp, sin and cos answer each query from the rational
-# series windows of `enclosures`: bracket the argument, enclose f over the
-# bracket, and tighten both until the enclosure is narrower than the query.
-# exp is monotone, so windows at the bracket ends enclose it; sin and cos
-# are 1-Lipschitz, so the window at the midpoint padded by the bracket's
+# series windows of `enclosures`.  A rational argument is read at the
+# point; any other is bracketed, f is enclosed over the bracket, and both
+# tighten until the enclosure is narrower than the query.  exp is
+# monotone, so windows at the bracket ends enclose it; sin and cos are
+# 1-Lipschitz, so the window at the midpoint padded by the bracket's
 # half-width does.  The windows carry the series' only tail bound.
 # ---------------------------------------------------------------------------
 
-Enclose = Callable[[Bracket, Rational], Window]
 
-
-def _window_real(x: CReal, enclose: Enclose, name: str) -> CReal:
-    """f(x), where enclose(b, eps) gives rationals lo <= f(t) <= hi for t in b.
+def _window_real(x: CReal, window: WindowFn, name: str, monotone: bool = False) -> CReal:
+    """f(x), where window(t, eps) gives rationals lo <= f(t) <= hi, hi - lo <= eps.
 
     Each query (q, r) starts at eps = (r - q)/4 and divides eps by 4 until
     q < lo (RIGHT) or hi < r (LEFT).  The enclosure's width goes to 0 with
-    eps, and once it is below r - q one of the two must hold.
+    eps, and once it is below r - q one of the two must hold; at a rational
+    x that is the first window.
     """
+
+    def enclose(eps: Rational) -> Window:
+        if x.exact is not None:
+            return window(x.exact, eps)
+        b = tight_bound(x, eps)
+        if monotone:
+            return window(b.lo, eps)[0], window(b.hi, eps)[1]
+        lo, hi = window(b.midpoint, eps)
+        return lo - b.width / 2, hi + b.width / 2
 
     def decide(q: Rational, r: Rational) -> Side:
         eps = (r - q) / 4
         while True:
-            lo, hi = enclose(tight_bound(x, eps), eps)
+            lo, hi = enclose(eps)
             if q < lo:
                 return Side.RIGHT
             if hi < r:
@@ -338,47 +358,58 @@ def _window_real(x: CReal, enclose: Enclose, name: str) -> CReal:
     return CReal(decide, name=name)
 
 
-def _lipschitz(window: Callable[[Rational, Rational], Window]) -> Enclose:
-    def enclose(b: Bracket, eps: Rational) -> Window:
-        lo, hi = window(b.midpoint, eps)
-        pad = b.width / 2
-        return lo - pad, hi + pad
-
-    return enclose
-
-
-def _exp_enclose(b: Bracket, eps: Rational) -> Window:
-    return exp_window(b.lo, eps)[0], exp_window(b.hi, eps)[1]
-
-
 def exp(x: CReal) -> CReal:
     """e^x, enclosed by series windows at the ends of a bracket of x."""
-    return _window_real(x, _exp_enclose, name=f"exp({_clip(x.name)})")
+    return _window_real(x, exp_window, f"exp({_clip(x.name)})", monotone=True)
 
 
 def sin(x: CReal) -> CReal:
     """sin x, the series window at a bracket's midpoint padded by its radius."""
-    return _window_real(x, _lipschitz(sin_window), name=f"sin({_clip(x.name)})")
+    return _window_real(x, sin_window, f"sin({_clip(x.name)})")
 
 
 def cos(x: CReal) -> CReal:
-    return _window_real(x, _lipschitz(cos_window), name=f"cos({_clip(x.name)})")
+    return _window_real(x, cos_window, f"cos({_clip(x.name)})")
 
 
 def _arctan_modulus(q: Rational, eps: RationalLike) -> int:
     """Least n with |q|^(2n+3)/(2n+3) < eps: the first term that partial sum n omits.
 
     With |q| = a/b and eps = c/d the test is a^(2n+3) d < c b^(2n+3) (2n+3)
-    over integers, the two powers stepping by a^2 and b^2.
+    over integers, monotone in n.  The exact test decides; a float estimate
+    of n only picks the start: bisect below it if it passes there, else
+    gallop up with doubling steps and bisect.  Two tests when the estimate
+    is right, O(log n) at worst, and always the least n below the cap.
     """
     eps = require_positive(eps, "eps")
     a, b = abs(q.numerator), q.denominator
-    lhs, rhs = a**3 * eps.denominator, eps.numerator * b**3
-    for n in range(get_search_cap()):
-        if lhs < rhs * (2 * n + 3):
-            return n
-        lhs, rhs = lhs * (a * a), rhs * (b * b)
-    raise SearchExhausted("arctan tail bound not reached under cap")
+
+    def passes(n: int) -> bool:
+        k = 2 * n + 3
+        return a**k * eps.denominator < eps.numerator * b**k * k
+
+    last = get_search_cap() - 1
+    fail, hit, step = -1, 0, 1
+    if a:
+        # Fixed-point steps on k log(b/a) + log k = log(d/c), k = 2n + 3.
+        rate = math.log(b) - math.log(a)
+        goal = math.log(eps.denominator) - math.log(eps.numerator)
+        k = goal / rate
+        for _ in range(2):
+            k = (goal - math.log(max(k, 1))) / rate
+        start = min(max(math.ceil((k - 3) / 2), 0), last)
+        if start and passes(start - 1):
+            hit = start - 1
+        elif start:
+            fail, hit = start - 1, start
+    while not passes(hit):
+        if hit == last:
+            raise SearchExhausted("arctan tail bound not reached under cap")
+        fail, hit, step = hit, min(hit + step, last), 2 * step
+    while hit - fail > 1:
+        mid = (fail + hit) // 2
+        fail, hit = (fail, mid) if passes(mid) else (mid, hit)
+    return hit
 
 
 def arctan_rational(q: RationalLike) -> CReal:

@@ -125,8 +125,10 @@ class CReal:
     `exact` is the value itself when the real was built by from_rational
     (and None otherwise).  The searches in this module never read it: they
     are the paper's extraction algorithms and run the same on every
-    locator.  The lifted constructors in `arith` read it to fold rational
-    operands into a rational result instead of a locator tree.
+    locator.  Constructions read it to skip searches on rationals: `arith`
+    folds rational operands, shifts sums by one and reads exp, sin and cos
+    at one; `analysis` splits between rational root ends and adds rational
+    grid values without a search.
     """
 
     __slots__ = ("_decide", "name", "_lock", "_answers", "_lo", "_hi", "_evals", "_exact")

@@ -266,7 +266,10 @@ def evaluate(expr: Expr, x: Optional[CReal] = None) -> CReal:
             memo[e] = got
         return got
 
-    return go(expr)
+    try:
+        return go(expr)
+    finally:
+        go = None  # go holds itself through its closure cell; free the memo now
 
 
 def _build(e: Expr, go: Callable[[Expr], CReal], x: Optional[CReal]) -> CReal:

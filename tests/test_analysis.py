@@ -18,8 +18,8 @@ from exactreal.analysis import (
     nonconstant_search,
 )
 from exactreal.analysis import _grid_sum
-from exactreal.arith import RealMap, Sign, add, exp, mul, pi, sub
-from exactreal.core import SearchExhausted, Side, from_rational, tight_bound
+from exactreal.arith import RealMap, Sign, add, e, exp, mul, pi, sub
+from exactreal.core import CReal, SearchExhausted, Side, from_rational, tight_bound
 from exactreal.digits import prefix_value, render_digits, to_signed_digits
 from exactreal.expr import integrand_map, parse
 
@@ -139,7 +139,11 @@ def test_per_point_grid_sum_reuses_same_width_work(monkeypatch):
     import exactreal.analysis as analysis
 
     applied, bounded = [], []
-    square = RealMap(apply=lambda u: applied.append(u) or mul(u, u), name="t*t")
+    # mul(u, u) folds a rational u to an exact value; wrapping its locator
+    # in a fresh CReal hides `exact`, so every point takes the scanned path.
+    square = RealMap(
+        apply=lambda u: applied.append(u) or CReal(mul(u, u).locate, name="t*t"), name="t*t"
+    )
     counted = analysis.tight_bound
     monkeypatch.setattr(
         analysis, "tight_bound", lambda x, eps: bounded.append(eps) or counted(x, eps)
@@ -154,6 +158,27 @@ def test_per_point_grid_sum_reuses_same_width_work(monkeypatch):
     assert (len(applied), len(bounded)) == (4, 4)
     s.locate(exact, exact + width / 2)
     assert (len(applied), len(bounded)) == (4, 8)
+
+
+def test_per_point_grid_sum_adds_exact_values(monkeypatch):
+    import exactreal.analysis as analysis
+
+    bounded = []
+    counted = analysis.tight_bound
+    monkeypatch.setattr(
+        analysis, "tight_bound", lambda x, eps: bounded.append(eps) or counted(x, eps)
+    )
+    s = _grid_sum(SQUARE, Grid(F(0), F(1, 4), 4))
+    exact = riemann_sum(lambda t: t * t, 0, 1, 4)
+    # Each value is rounded outward to a grid of width tol/(step*count),
+    # so the window holds the sum and is at most tol/step wide: every
+    # forced query answers as forced, down to widths of 10^-30.
+    for width in (F(1), F(1, 100), F(1, 10**30)):
+        assert s.locate(exact - width, exact) is Side.RIGHT
+        assert s.locate(exact - 2 * width, exact - width) is Side.RIGHT
+        assert s.locate(exact, exact + width) is Side.LEFT
+        assert s.locate(exact + width, exact + 2 * width) is Side.LEFT
+    assert bounded == []
 
 
 def test_grid_sum_answers_do_not_depend_on_query_order():
@@ -419,6 +444,22 @@ def test_exact_ivt_sqrt2_digits():
     rep = to_signed_digits(root)
     assert render_digits(rep, 8) == "2.(-6)2(-6)22(-6)(-4)(-4)"
     assert abs(prefix_value(rep, 8) - SQRT2) < F(1, 10**8)
+
+
+def test_exact_ivt_with_a_locator_end(monkeypatch):
+    # The end e - 1 is a locator, so round one splits the lifted cuts with
+    # archimedean_midpoint; later rounds between rational ends do not.
+    import exactreal.analysis as analysis
+
+    calls = []
+    counted = analysis.archimedean_midpoint
+    monkeypatch.setattr(
+        analysis, "archimedean_midpoint", lambda x, y: calls.append(1) or counted(x, y)
+    )
+    root = exact_ivt(SQUARE_LESS_2, 1, sub(e(), from_rational(1)))
+    rep = to_signed_digits(root)
+    assert abs(prefix_value(rep, 8) - SQRT2) < F(1, 10**8)
+    assert calls
 
 
 def test_exact_ivt_cubic_root():

@@ -86,6 +86,24 @@ def test_add_forced_examples():
     _assert_lifted(add(O(1), from_rational(2)), Fraction(3))
 
 
+@pytest.mark.parametrize("c", [Fraction(-7, 3), Fraction(0), Fraction(10**40, 3)])
+def test_add_with_a_rational_operand_shifts_the_query(monkeypatch, c):
+    import exactreal.arith as arith
+
+    monkeypatch.setattr(arith, "tight_bound", lambda x, eps: pytest.fail("bracket search"))
+    rng = random.Random(23)
+    v = Fraction(5, 11)
+    for real in (add(from_rational(c), O(v)), add(O(v), from_rational(c))):
+        assert real.exact is None
+        assert not check_against_value(real, c + v, rng, queries=40)
+    # e = 2.71828..., read at the point, so no bracket search either.
+    for real in (add(from_rational(c), e()), add(e(), from_rational(c))):
+        for k in range(1, 30):
+            g = Fraction(1, 10**k)
+            assert real.locate(c + 2, c + Fraction(2718281828, 10**9) - g) is Side.RIGHT
+            assert real.locate(c + Fraction(2718281829, 10**9) + g, c + 3) is Side.LEFT
+
+
 def test_add_oracle_suite():
     rng = random.Random(7)
     for _ in range(100):
@@ -347,6 +365,32 @@ def test_sin_cos_at_zero():
         b = tight_bound(x, eps)
         assert b.width < eps
         assert b.lo < value < b.hi
+
+
+def _mp_fraction(value) -> Fraction:
+    man, exp2 = value.man_exp  # man is the magnitude
+    return Fraction(-man if value < 0 else man) * Fraction(2) ** exp2
+
+
+@pytest.mark.parametrize("t", ["0", "1/3", "-5/2", "7", "-20", "1/1000", "355/113"])
+def test_series_at_rational_points_against_mpmath(monkeypatch, t):
+    # A rational argument is read at the point: no bracket search, and the
+    # answers agree with mpmath at 60 digits on queries forced 10^-40 apart.
+    import mpmath
+
+    import exactreal.arith as arith
+
+    monkeypatch.setattr(arith, "tight_bound", lambda x, eps: pytest.fail("bracket search"))
+    t = Fraction(t)
+    with mpmath.workdps(60):
+        point = mpmath.mpf(t.numerator) / t.denominator
+        for f, ref in ((exp, mpmath.exp), (sin, mpmath.sin), (cos, mpmath.cos)):
+            real = f(from_rational(t))
+            value = _mp_fraction(ref(point))
+            for k in range(0, 41, 4):
+                g = Fraction(1, 10**k)
+                assert real.locate(value - 2 * g, value - g) is Side.RIGHT
+                assert real.locate(value + g, value + 2 * g) is Side.LEFT
 
 
 def test_exp_times_exp_of_negation_brackets_one():

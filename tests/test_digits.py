@@ -95,7 +95,7 @@ def test_pi_digits_against_machin_oracle():
 def test_e_digits_against_factorial_oracle():
     rep = to_signed_digits(e())
     oracle = sum(Fraction(1, math.factorial(k)) for k in range(30))
-    assert render_digits(rep, 10) == "3.(-3)2(-1)(-7)(-2)2(-1)(-7)(-1)(-5)"
+    assert render_digits(rep, 10) == "3.(-2)(-8)(-1)(-7)(-1)(-8)(-1)(-7)(-1)(-5)"
     assert abs(prefix_value(rep, 10) - oracle) < Fraction(1, 10**10)
 
 

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from collections import Counter
@@ -313,3 +314,17 @@ def test_root_of_expression_map():
     root = exact_ivt(as_real_map(parse("x - 1/2")), 0, 1)
     b = tight_bound(root, F(1, 10**4))
     assert b.lo < F(1, 2) < b.hi
+
+
+def test_evaluate_leaves_no_reference_cycle():
+    # The builder recurses through a closure; a tree kept alive by that
+    # cycle would pile up while the collector is off.
+    gc.collect()
+    gc.disable()
+    try:
+        real = evaluate(parse("exp(x) - 2"), from_rational(F(1, 2)))
+        assert tight_bound(real, F(1, 10**6)).lo < -0.35
+        del real
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
