@@ -1,10 +1,10 @@
 """Integration and root finding on locator-represented reals.
 
-Each construction here is a Cauchy limit handed to arith.limit with an
-explicit modulus:
+Each construction has an explicit error bound; the two root finders are
+Cauchy limits handed to arith.limit with a convergence modulus:
 
-* integrate: left-endpoint Riemann sums.  A uniform continuity modulus
-  for the integrand converts mesh size into a convergence modulus.
+* integrate: one midpoint Riemann sum per query.  A uniform continuity
+  modulus for the integrand turns the query's width into a fine enough mesh.
 * approx_ivt: points where |f| < eps.  Interval halving cannot decide
   the sign of f at a midpoint, so each step instead shifts the window
   by a damped correction computed from f by lifted arithmetic; the
@@ -20,7 +20,6 @@ both kinds cost about the same.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -150,18 +149,17 @@ def _grid_sum(f: RealMap, grid: Grid) -> CReal:
 def integrate(f: RealMap, a: Endpoint, b: Endpoint) -> CReal:
     """The integral of f over [a, b] as a locator real.  Caller asserts a <= b.
 
-    Member n is the left-endpoint Riemann sum with n points over a rational
-    grid [a_n, b_n] inside [a, b]: an endpoint carrying `exact` is used as
-    it is, any other by the inner end of its bracket of width B/n.  B bounds
-    b - a (exactly so when both ends are exact) and M bounds |f| on [a, b]:
-    |f(a)| plus one for each step of length f.modulus(1) needed to cross
-    [a, b], or 0 when both ends are exact.  Past the index
-    max(B/mesh, 8MB/eps), mesh = f.modulus(eps/(4B)), the sum is within
-    eps/4 of the integral over [a_n, b_n], and the two cut-off ends, each
-    under B/n wide, add less than 2MB/n <= eps/4; so every such member is
-    within eps/2 of the integral.  When b_n <= a_n the member is 0, and
-    the whole integral is below 2MB/n.  Raises ValueError when f carries no
-    continuity modulus.
+    Query (q, r) asks a midpoint sum within err = (r - q)/4 of the integral
+    about (q + err, r - err).  The sum runs over n = floor(L/(2 mesh)) + 1
+    cells of a rational [start, stop] of length L inside [a, b], with
+    mesh = f.modulus(e/L): each point of a cell lies within h/2 < mesh of
+    its midpoint, so the sum is within e of the integral over [start, stop].
+    With both ends exact, [start, stop] is [a, b] and e = err.  Otherwise e = err/2: a locator end is replaced
+    by the inner end of its tight bound of width err/(4M), where M bounds
+    |f| on [a, b] (|f(a)| plus one for each step of length f.modulus(1)
+    across it), so the two cut-off ends add less than err/2; when
+    stop <= start the sum is 0 and the integral is below err/2.  Sums are
+    kept per grid.  Raises ValueError when f carries no continuity modulus.
     """
     if f.modulus is None:
         raise ValueError("integration needs a uniform continuity modulus")
@@ -172,31 +170,36 @@ def integrate(f: RealMap, a: Endpoint, b: Endpoint) -> CReal:
         if b_exact == a_exact:
             return from_rational(0)
 
-    def measure() -> tuple[Rational, Rational]:
-        if a_exact is not None and b_exact is not None:
-            return b_exact - a_exact, Fraction(0)
+    def measure() -> Rational:
         x = _as_real(a)
         span = upper_bound(sub(_as_real(b), x))
         step = require_positive(f.modulus(1), "modulus value")
-        return span, upper_bound(absolute(f.apply(x))) + span // step + 1
+        return upper_bound(absolute(f.apply(x))) + span // step + 1
 
-    bounds = once(measure)
+    size = once(measure)
+    sums: dict[Grid, CReal] = {}
 
-    def member(n: int) -> CReal:
-        width = bounds()[0] / n
-        start = a_exact if a_exact is not None else tight_bound(a, width).hi
-        stop = b_exact if b_exact is not None else tight_bound(b, width).lo
-        if stop <= start:
-            return from_rational(0)
-        return _grid_sum(f, Grid(start, (stop - start) / n, n))
+    def decide(q: Rational, r: Rational) -> Side:
+        err = e = (r - q) / 4
+        start, stop = a_exact, b_exact
+        if start is None or stop is None:
+            cut, e = err / (4 * size()), err / 2
+            if start is None:
+                start = tight_bound(a, cut).hi
+            if stop is None:
+                stop = tight_bound(b, cut).lo
+            if stop <= start:  # the sum is 0
+                return Side.RIGHT if q + err < 0 else Side.LEFT
+        length = stop - start
+        mesh = require_positive(f.modulus(e / length), "modulus value")
+        n = length // (2 * mesh) + 1
+        grid = Grid(start + length / (2 * n), length / n, n)
+        if grid not in sums:
+            # decide runs outside the real's lock; the first sum stored wins.
+            sums.setdefault(grid, _grid_sum(f, grid))
+        return sums[grid].locate(q + err, r - err)
 
-    def modulus(eps: RationalLike) -> int:
-        eps = require_positive(eps, "eps")
-        span, size = bounds()
-        mesh = require_positive(f.modulus(eps / (4 * span)), "modulus value")
-        return max(math.ceil(span / mesh), math.ceil(8 * size * span / eps))
-
-    return limit(member, modulus, name="integral")
+    return CReal(decide, name="integral")
 
 
 def approx_ivt(f: RealMap, a: Endpoint, b: Endpoint, eps: RationalLike) -> CReal:

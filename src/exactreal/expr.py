@@ -251,19 +251,21 @@ def _render(e: Expr, context: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def evaluate(expr: Expr, x: Optional[CReal] = None) -> CReal:
+def evaluate(expr: Expr, x: Optional[CReal] = None, shared: Optional[dict] = None) -> CReal:
     """The locator an expression denotes; x binds the variable.
 
     Structurally equal subexpressions map to one locator, so their query
-    memos are shared across the whole tree.
+    memos are shared across the whole tree.  `shared` keeps the locators of
+    the constants across calls: a map passes one dict to every point.
     """
-    memo: dict[Expr, CReal] = {}
+    memo: dict[Expr, CReal] = dict(shared) if shared else {}
 
     def go(e: Expr) -> CReal:
         got = memo.get(e)
         if got is None:
-            got = _build(e, go, x)
-            memo[e] = got
+            got = memo[e] = _build(e, go, x)
+            if shared is not None and isinstance(e, Const):
+                shared.setdefault(e, got)
         return got
 
     try:
@@ -618,6 +620,12 @@ def _sum_hook(e: Expr) -> Optional[Callable[[Grid, RationalLike], Window]]:
     return hook
 
 
+def _point_map(e: Expr) -> Callable[[CReal], CReal]:
+    """u -> e(u), each constant of e built once and shared by every point."""
+    constants: dict[Expr, CReal] = {}
+    return lambda u: evaluate(e, x=u, shared=constants)
+
+
 def integrand_map(e: Expr, lo: RationalLike, hi: RationalLike) -> RealMap:
     """Package an expression in x for integration over [lo, hi].
 
@@ -635,7 +643,7 @@ def integrand_map(e: Expr, lo: RationalLike, hi: RationalLike) -> RealMap:
         else:
             modulus = lambda eps: as_rational(eps) / slope
     return RealMap(
-        apply=lambda u: evaluate(e, x=u),
+        apply=_point_map(e),
         modulus=modulus,
         sum_enclosure=_sum_hook(e),
         name=to_text(e),
@@ -644,4 +652,4 @@ def integrand_map(e: Expr, lo: RationalLike, hi: RationalLike) -> RealMap:
 
 def as_real_map(e: Expr) -> RealMap:
     """Package an expression in x as a bare map, enough for root finding."""
-    return RealMap(apply=lambda u: evaluate(e, x=u), name=to_text(e))
+    return RealMap(apply=_point_map(e), name=to_text(e))

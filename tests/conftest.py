@@ -1,25 +1,6 @@
 import sys
 
-import pytest
-
 # Queries on deeply lifted constructions (limits whose members are built
 # from earlier members) legitimately stack a few thousand frames.
 sys.setrecursionlimit(50_000)
 
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--runslow",
-        action="store_true",
-        default=False,
-        help="run tests marked slow (multi-minute constructions)",
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--runslow"):
-        return
-    skip = pytest.mark.skip(reason="needs --runslow")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)

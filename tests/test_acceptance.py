@@ -15,8 +15,6 @@ import sys
 import time
 from fractions import Fraction
 
-import pytest
-
 from exactreal import arith
 from exactreal.analysis import exact_ivt, integrate
 from exactreal.core import Side, from_rational, tight_bound, to_cauchy
@@ -199,7 +197,6 @@ def _simpson_sin_exp() -> float:
     return (f(0.0) + f(8.0) + body) * h / 3.0
 
 
-@pytest.mark.slow
 def test_criterion_5_oscillatory_integral():
     start = time.monotonic()
     oracle = Fraction(_simpson_sin_exp()).limit_denominator(10**12)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import sys
@@ -271,16 +272,15 @@ def test_integral_per_point_brackets_one_third():
 
 
 def test_integral_modulus_is_safe_for_square():
-    # The convergence modulus integrate derives for f = t^2 on [0, 1] is
-    # ceil(B / omega(eps/(4B))) = ceil(8/eps); members past it must be
-    # pairwise within eps.  Checked in exact rational arithmetic.
-    for eps in (F(1, 4), F(1, 16)):
-        start = math.ceil(8 / eps)
-        points = [start, start + 7, 4 * start]
-        sums = {n: riemann_sum(lambda t: t * t, 0, 1, n) for n in points}
-        for m in points:
-            for n in points:
-                assert abs(sums[m] - sums[n]) < eps
+    # A query of width w reads the midpoint sum whose n = floor(B/(2 mesh)) + 1
+    # cells come from mesh = f.modulus(w/(4B)); for f = t^2 on [0, 1] the
+    # modulus is eps/2, and that sum must lie within w/4 of 1/3.  Checked in
+    # exact rational arithmetic.
+    for w in (F(1, 2), F(1, 10), F(1, 1000)):
+        n = math.floor(1 / (2 * (w / 8))) + 1
+        h = F(1, n)
+        midpoint_sum = h * sum(((k + F(1, 2)) * h) ** 2 for k in range(n))
+        assert abs(midpoint_sum - F(1, 3)) < w / 4
 
 
 def test_integral_requires_modulus():
@@ -298,7 +298,7 @@ def test_integral_interval_edge_cases():
 
 def test_integral_with_locator_endpoints():
     # b = exp(0) locates 1, so the integral of t over [0, b] is 1/2.  Without
-    # a hook each member walks its grid point by point, so the bare map gets
+    # a hook each sum walks its grid point by point, so the bare map gets
     # two forced queries and the hooked one a bracket of width 1/100.
     integral = integrate(IDENTITY_BARE, from_rational(0), exp(from_rational(0)))
     assert integral.locate(F(1, 2), F(3, 2)) is Side.LEFT
@@ -328,8 +328,8 @@ def test_integral_of_sine_up_to_pi():
 
 
 def test_integral_between_equal_locators_is_zero():
-    # Two pi() reals: each member's grid would run from above pi to below
-    # it, so every member is the zero member.
+    # Two pi() reals: each query's grid would run from above pi to below
+    # it, so every query reads the zero sum.
     integral = integrate(integrand_map(parse("x*x"), 0, 4), pi(), pi())
     for w in (F(1), F(1, 10), F(1, 1000)):
         assert integral.locate(w, 2 * w) is Side.LEFT
@@ -348,6 +348,84 @@ def test_rational_reals_integrate_as_their_rationals():
         plain = tight_bound(integrate(f, 0, 1), width)
         lifted = tight_bound(integrate(f, from_rational(0), from_rational(1)), width)
         assert plain == lifted
+
+
+FORCED_WIDTHS = (F(1, 2), F(1, 10), F(1, 100), F(1, 1000), F(1, 10**4))
+
+
+def answers_forced_queries(integral, oracle):
+    """Queries of each width just below and just above oracle() get the forced side."""
+    with mpmath.workdps(50):
+        centre = F(mpmath.nstr(oracle(), 45))
+    lo, hi = centre - F(1, 10**35), centre + F(1, 10**35)
+    for w in FORCED_WIDTHS:
+        assert integral.locate(lo - w, lo) is Side.RIGHT, w
+        assert integral.locate(hi, hi + w) is Side.LEFT, w
+
+
+def test_hooked_integrals_answer_forced_queries():
+    exp_map = integrand_map(parse("exp(x)"), 0, 1)
+    answers_forced_queries(integrate(exp_map, 0, 1), lambda: mpmath.e - 1)
+    drift = integrand_map(parse("sin(x + exp(x))"), 0, 1)
+    answers_forced_queries(
+        integrate(drift, 0, 1),
+        lambda: mpmath.quad(lambda t: mpmath.sin(t + mpmath.exp(t)), [0, 1]),
+    )
+
+
+def test_hookless_integral_answers_forced_queries():
+    f = integrand_map(parse("1/(1+x*x)"), 0, 1)
+    assert f.sum_enclosure is None
+    answers_forced_queries(integrate(f, 0, 1), lambda: mpmath.pi / 4)
+
+
+def test_concave_integral_answers_forced_queries_at_its_exact_value():
+    # Midpoint sums of a concave integrand lie above the integral, here
+    # exactly: the sum of 1 - t^2 over n cells is 2/3 + 1/(12 n^2).  A query
+    # starting at 2/3 is forced LEFT, so the locator must keep its margin
+    # of (r - q)/4 and not pass the query to the sum as it is.
+    f = integrand_map(parse("1 - x*x"), 0, 1)
+    integral = integrate(f, 0, 1)
+    for w in FORCED_WIDTHS:
+        assert integral.locate(F(2, 3), F(2, 3) + w) is Side.LEFT, w
+        assert integral.locate(F(2, 3) - w, F(2, 3)) is Side.RIGHT, w
+
+
+def test_integrals_with_locator_ends_answer_forced_queries():
+    square = integrand_map(parse("x*x"), 0, 4)
+    answers_forced_queries(integrate(square, 0, pi()), lambda: mpmath.pi**3 / 3)
+    identity = integrate(IDENTITY_BARE, from_rational(0), exp(from_rational(0)))
+    answers_forced_queries(identity, lambda: mpmath.mpf(1) / 2)
+
+
+def test_integral_grids_stay_within_the_midpoint_bound():
+    # For a query of width w the sum samples the midpoints of the
+    # n = floor(B/(2 mesh)) + 1 cells of [0, 1], mesh = f.modulus(w/(4B))
+    # with B = 1 here, and no more.
+    f = integrand_map(parse("sin(x + exp(x))"), 0, 1)
+    grids: list[Grid] = []
+
+    def counting(grid, tol):
+        grids.append(grid)
+        return f.sum_enclosure(grid, tol)
+
+    integral = integrate(dataclasses.replace(f, sum_enclosure=counting), 0, 1)
+    worst = 0
+
+    def decide(q, r):
+        nonlocal worst
+        del grids[:]
+        side = integral.locate(q, r)
+        bound = math.floor(1 / (2 * f.modulus((r - q) / 4))) + 1
+        for grid in grids:
+            assert len(grid) <= bound
+            assert grid.start == grid.step / 2 and len(grid) * grid.step == 1
+            worst = max(worst, len(grid))
+        return side
+
+    oracle = lambda: mpmath.quad(lambda t: mpmath.sin(t + mpmath.exp(t)), [0, 1])
+    brackets(oracle, CReal(decide), F(1, 100))
+    assert 0 < worst <= 2400
 
 
 # --- approx_ivt ----------------------------------------------------------------

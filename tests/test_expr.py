@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import random
@@ -328,3 +329,40 @@ def test_evaluate_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_maps_build_each_constant_once(monkeypatch):
+    # A root search evaluates the tree at many points; they all read one
+    # pi(), so its brackets are searched once and not once per point.
+    import mpmath
+
+    from exactreal.analysis import exact_ivt
+    from exactreal.digits import prefix_value, to_signed_digits
+
+    calls = Counter()
+    original = arith.pi
+
+    def counted_pi():
+        calls["pi"] += 1
+        return original()
+
+    monkeypatch.setattr(arith, "pi", counted_pi)
+    f = as_real_map(parse("x*x - pi"))
+
+    def counted_apply(u):
+        calls["apply"] += 1
+        return f.apply(u)
+
+    root = exact_ivt(dataclasses.replace(f, apply=counted_apply), 1, 2)
+    digits = prefix_value(to_signed_digits(root), 6)
+    with mpmath.workdps(30):
+        oracle = mpmath.sqrt(mpmath.pi)
+        assert abs(mpmath.mpf(digits.numerator) / digits.denominator - oracle) < 10**-6
+    assert calls["apply"] > 100
+    assert calls["pi"] == 1
+
+    g = integrand_map(parse("pi*x"), 0, 1)
+    for k in range(1, 21):
+        value = g.apply(from_rational(F(k, 20)))
+        assert value.locate(F(math.pi * k / 20) + F(1, 100), 4) is Side.LEFT
+    assert calls["pi"] == 2
