@@ -154,12 +154,13 @@ def integrate(f: RealMap, a: Endpoint, b: Endpoint) -> CReal:
     cells of a rational [start, stop] of length L inside [a, b], with
     mesh = f.modulus(e/L): each point of a cell lies within h/2 < mesh of
     its midpoint, so the sum is within e of the integral over [start, stop].
-    With both ends exact, [start, stop] is [a, b] and e = err.  Otherwise e = err/2: a locator end is replaced
-    by the inner end of its tight bound of width err/(4M), where M bounds
-    |f| on [a, b] (|f(a)| plus one for each step of length f.modulus(1)
-    across it), so the two cut-off ends add less than err/2; when
-    stop <= start the sum is 0 and the integral is below err/2.  Sums are
-    kept per grid.  Raises ValueError when f carries no continuity modulus.
+    With both ends exact, [start, stop] is [a, b] and e = err.  Otherwise
+    e = err/2: a locator end is replaced by the inner end of its tight
+    bound of width err/(4M), where M bounds |f| on [a, b] (|f(a)| plus one
+    for each step of length f.modulus(1) across it), so the two cut-off
+    ends add less than err/2; when stop <= start the sum is 0 and the
+    integral is below err/2.  Sums are kept per grid.  Raises ValueError
+    when f carries no continuity modulus.
     """
     if f.modulus is None:
         raise ValueError("integration needs a uniform continuity modulus")

@@ -78,7 +78,7 @@ class RealMap:
     when present, takes a finite sequence of rational sample points (it
     supports len, indexing, and iteration; in practice an arithmetic grid)
     and a positive tolerance, and returns exact rationals (lo, hi) with
-    lo <= sum f(t_i) <= hi and hi - lo < tolerance; it exists so grid-heavy
+    lo <= sum f(t_i) <= hi and hi - lo <= tolerance; it exists so grid-heavy
     consumers can skip per-point locator queries.
     """
 

@@ -8,10 +8,12 @@ reciprocal, so evaluating it searches for an apartness witness for the
 denominator.
 
 For integration the module also derives what the analysis layer needs
-from the tree itself: a uniform continuity modulus from Lipschitz bounds
-over the integration interval, and a fast whole-grid sum enclosure when
-the integrand is a rational combination of polynomials and exp, sin, cos
-of affine arguments.
+from the tree itself, under two separate rules.  Every integrand gets a
+uniform continuity modulus from Lipschitz bounds over the integration
+interval, unless a denominator's range touches zero there.  A fast
+whole-grid sum enclosure is attached when the integrand is a polynomial
+plus rational multiples of exp, sin, cos of affine arguments and of
+sin(affine + exp(affine)).
 """
 
 from __future__ import annotations
@@ -349,7 +351,7 @@ def eval_exact(expr: Expr, x: Optional[RationalLike] = None) -> Rational:
 
 
 # ---------------------------------------------------------------------------
-# Integration support: polynomial shape, range and Lipschitz bounds, and
+# Integration support: range and Lipschitz bounds, linear shape, and
 # whole-grid sum enclosures, all read off the tree.
 # ---------------------------------------------------------------------------
 
@@ -361,6 +363,69 @@ _CONST_RANGE = {
 }
 
 Box = tuple[Rational, Rational]
+Bounds = tuple[Rational, Rational, Rational]
+
+
+def _bounds(e: Expr, box: Box) -> Optional[Bounds]:
+    """(lo, hi, slope): lo <= e(x) <= hi and a Lipschitz constant over box.
+
+    One forward pass of interval analysis: each node's range and slope
+    come from its children's.  exp is its own derivative and 1/x has slope
+    1/x^2 away from zero.  None when a denominator's range touches zero.
+    """
+    if isinstance(e, Lit):
+        return e.value, e.value, Fraction(0)
+    if isinstance(e, Const):
+        return (*_CONST_RANGE[e.name], Fraction(0))
+    if isinstance(e, Var):
+        return box[0], box[1], Fraction(1)
+    if isinstance(e, Unary):
+        inner = _bounds(e.arg, box)
+        if inner is None:
+            return None
+        lo, hi, slope = inner
+        if e.op == "neg":
+            return -hi, -lo, slope
+        if e.op == "abs":
+            if lo >= 0:
+                return lo, hi, slope
+            if hi <= 0:
+                return -hi, -lo, slope
+            return Fraction(0), max(-lo, hi), slope
+        if e.op == "exp":
+            top = exp_window(hi, Fraction(1))[1]
+            return exp_window(lo, Fraction(1))[0], top, top * slope
+        if e.op in ("sin", "cos"):
+            return Fraction(-1), Fraction(1), slope
+        if lo > 0 or hi < 0:
+            gap = min(abs(lo), abs(hi))
+            return min(1 / lo, 1 / hi), max(1 / lo, 1 / hi), slope / (gap * gap)
+        return None
+    left, right = _bounds(e.left, box), _bounds(e.right, box)
+    if left is None or right is None:
+        return None
+    al, ah, ls = left
+    bl, bh, rs = right
+    if e.op == "add":
+        return al + bl, ah + bh, ls + rs
+    if e.op == "sub":
+        return al - bh, ah - bl, ls + rs
+    if e.op == "min":
+        return min(al, bl), min(ah, bh), max(ls, rs)
+    if e.op == "max":
+        return max(al, bl), max(ah, bh), max(ls, rs)
+    top = max(abs(al), abs(ah))
+    if e.op == "mul":
+        corners = (al * bl, al * bh, ah * bl, ah * bh)
+        return min(corners), max(corners), top * rs + max(abs(bl), abs(bh)) * ls
+    if bl > 0 or bh < 0:
+        gap = min(abs(bl), abs(bh))
+        corners = (al / bl, al / bh, ah / bl, ah / bh)
+        return min(corners), max(corners), ls / gap + top * rs / (gap * gap)
+    return None
+
+
+Linear = tuple[list[Fraction], list[tuple[Fraction, Expr]]]
 
 
 def _trim(p: list[Fraction]) -> list[Fraction]:
@@ -370,191 +435,69 @@ def _trim(p: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def _poly_add(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return out
+def _scaled(form: Linear, k: Fraction) -> Linear:
+    poly, terms = form
+    return _trim([k * c for c in poly]), [(k * c, node) for c, node in terms]
+
+
+def _linear(e: Expr) -> Linear:
+    """e as poly(x) + sum of c*node, with ascending rational coefficients.
+
+    Sums, negation, products of polynomials, and scaling or division by a
+    rational constant are distributed; any other node is one whole term.
+    Terms are neither merged nor dropped, even with coefficient 0.
+    """
+    if isinstance(e, Lit):
+        return [Fraction(e.value)], []
+    if isinstance(e, Var):
+        return [Fraction(0), Fraction(1)], []
+    if isinstance(e, Unary) and e.op == "neg":
+        return _scaled(_linear(e.arg), Fraction(-1))
+    if isinstance(e, Binary) and e.op in ("add", "sub", "mul", "div"):
+        (p, s), (q, t) = _linear(e.left), _linear(e.right)
+        if e.op in ("add", "sub"):
+            if e.op == "sub":
+                q, t = _scaled((q, t), Fraction(-1))
+            total = [Fraction(0)] * max(len(p), len(q))
+            for i, c in enumerate(p):
+                total[i] += c
+            for i, c in enumerate(q):
+                total[i] += c
+            return _trim(total), s + t
+        if e.op == "mul" and not s and not t:
+            product = [Fraction(0)] * (len(p) + len(q) - 1)
+            for i, a in enumerate(p):
+                for j, b in enumerate(q):
+                    product[i + j] += a * b
+            return _trim(product), []
+        if not t and len(q) == 1 and (e.op == "mul" or q[0] != 0):
+            return _scaled((p, s), q[0] if e.op == "mul" else 1 / q[0])
+        if e.op == "mul" and not s and len(p) == 1:
+            return _scaled((q, t), p[0])
+    return [Fraction(0)], [(Fraction(1), e)]
 
 
 def _as_poly(e: Expr) -> Optional[list[Fraction]]:
     """Ascending coefficients when e is a rational polynomial in x."""
-    if isinstance(e, Lit):
-        return [Fraction(e.value)]
-    if isinstance(e, Var):
-        return [Fraction(0), Fraction(1)]
-    if isinstance(e, Unary) and e.op == "neg":
-        p = _as_poly(e.arg)
-        return None if p is None else [-c for c in p]
-    if isinstance(e, Binary):
-        if e.op in ("add", "sub"):
-            p, q = _as_poly(e.left), _as_poly(e.right)
-            if p is None or q is None:
-                return None
-            if e.op == "sub":
-                q = [-c for c in q]
-            return _trim(_poly_add(p, q))
-        if e.op == "mul":
-            p, q = _as_poly(e.left), _as_poly(e.right)
-            if p is None or q is None:
-                return None
-            out = [Fraction(0)] * (len(p) + len(q) - 1)
-            for i, a in enumerate(p):
-                for j, b in enumerate(q):
-                    out[i + j] += a * b
-            return _trim(out)
-        if e.op == "div":
-            p, q = _as_poly(e.left), _as_poly(e.right)
-            if p is None or q is None or len(_trim(q)) != 1 or q[0] == 0:
-                return None
-            return [c / q[0] for c in p]
-    return None
-
-
-def _affine(e: Expr) -> Optional[tuple[Fraction, Fraction]]:
-    p = _as_poly(e)
-    if p is None or len(p) > 2:
-        return None
-    return p[0], p[1] if len(p) > 1 else Fraction(0)
+    poly, terms = _linear(e)
+    return None if terms else poly
 
 
 def _chain_form(e: Expr) -> Optional[tuple]:
-    if isinstance(e, Unary) and e.op in ("exp", "sin", "cos"):
-        aff = _affine(e.arg)
-        if aff is not None:
-            return (e.op, aff[0], aff[1])
-        if e.op == "sin":
-            drift = _affine_plus_exp(e.arg)
-            if drift is not None:
-                return ("sinexp", *drift)
-    return None
-
-
-def _affine_plus_exp(e: Expr) -> Optional[tuple[Fraction, Fraction, Fraction, Fraction]]:
-    """Match e as (p0 + p1*x) + exp(q0 + q1*x), however the sum nests."""
-    poly = [Fraction(0), Fraction(0)]
-    exps: list[tuple[Fraction, Fraction]] = []
-
-    def walk(node: Expr, sign: int) -> bool:
-        if isinstance(node, Binary) and node.op in ("add", "sub"):
-            flip = sign if node.op == "add" else -sign
-            return walk(node.left, sign) and walk(node.right, flip)
-        if isinstance(node, Unary) and node.op == "neg":
-            return walk(node.arg, -sign)
-        aff = _affine(node)
-        if aff is not None:
-            poly[0] += sign * aff[0]
-            poly[1] += sign * aff[1]
-            return True
-        if isinstance(node, Unary) and node.op == "exp" and sign == 1:
-            inner = _affine(node.arg)
-            if inner is not None:
-                exps.append(inner)
-                return True
-        return False
-
-    if walk(e, 1) and len(exps) == 1:
-        return (poly[0], poly[1], exps[0][0], exps[0][1])
-    return None
-
-
-def _range(e: Expr, box: Box) -> Optional[Box]:
-    """Interval bounds for e(x) as x runs over box; None when unknown."""
-    if isinstance(e, Lit):
-        return e.value, e.value
-    if isinstance(e, Const):
-        return _CONST_RANGE[e.name]
-    if isinstance(e, Var):
-        return box
-    if isinstance(e, Unary):
-        r = _range(e.arg, box)
-        if r is None:
-            return None
-        lo, hi = r
-        if e.op == "neg":
-            return -hi, -lo
-        if e.op == "abs":
-            if lo >= 0:
-                return lo, hi
-            if hi <= 0:
-                return -hi, -lo
-            return Fraction(0), max(-lo, hi)
-        if e.op == "exp":
-            return exp_window(lo, Fraction(1))[0], exp_window(hi, Fraction(1))[1]
-        if e.op in ("sin", "cos"):
-            return Fraction(-1), Fraction(1)
-        if lo > 0 or hi < 0:
-            return min(1 / lo, 1 / hi), max(1 / lo, 1 / hi)
+    """exp, sin or cos of a + b*x as (op, a, b), sin(a + b*x + exp(c + d*x))
+    as ("sinexp", a, b, c, d), anything else None."""
+    if not (isinstance(e, Unary) and e.op in ("exp", "sin", "cos")):
         return None
-    left, right = _range(e.left, box), _range(e.right, box)
-    if left is None or right is None:
+    poly, terms = _linear(e.arg)
+    if len(poly) > 2:
         return None
-    al, ah = left
-    bl, bh = right
-    if e.op == "add":
-        return al + bl, ah + bh
-    if e.op == "sub":
-        return al - bh, ah - bl
-    if e.op == "mul":
-        corners = (al * bl, al * bh, ah * bl, ah * bh)
-        return min(corners), max(corners)
-    if e.op == "div":
-        if bl > 0 or bh < 0:
-            corners = (al / bl, al / bh, ah / bl, ah / bh)
-            return min(corners), max(corners)
-        return None
-    if e.op == "min":
-        return min(al, bl), min(ah, bh)
-    return max(al, bl), max(ah, bh)
-
-
-def _grow(r: Box) -> Rational:
-    return max(abs(r[0]), abs(r[1]))
-
-
-def _lipschitz(e: Expr, box: Box) -> Optional[Rational]:
-    """A Lipschitz constant for e over the box, or None when unknown.
-
-    Slopes of exp and recip depend on where the argument lives, so range
-    bounds feed the recursion: exp is its own derivative and 1/x has
-    slope 1/x^2 away from zero.
-    """
-    if isinstance(e, (Lit, Const)):
-        return Fraction(0)
-    if isinstance(e, Var):
-        return Fraction(1)
-    if isinstance(e, Unary):
-        inner = _lipschitz(e.arg, box)
-        if inner is None:
-            return None
-        if e.op in ("neg", "abs", "sin", "cos"):
-            return inner
-        r = _range(e.arg, box)
-        if r is None:
-            return None
-        if e.op == "exp":
-            return exp_window(r[1], Fraction(1))[1] * inner
-        if r[0] > 0 or r[1] < 0:
-            gap = min(abs(r[0]), abs(r[1]))
-            return inner / (gap * gap)
-        return None
-    ll, lr = _lipschitz(e.left, box), _lipschitz(e.right, box)
-    if ll is None or lr is None:
-        return None
-    if e.op in ("add", "sub"):
-        return ll + lr
-    if e.op in ("min", "max"):
-        return max(ll, lr)
-    rl, rr = _range(e.left, box), _range(e.right, box)
-    if rl is None or rr is None:
-        return None
-    if e.op == "mul":
-        return _grow(rl) * lr + _grow(rr) * ll
-    if rr[0] > 0 or rr[1] < 0:
-        gap = min(abs(rr[0]), abs(rr[1]))
-        return ll / gap + _grow(rl) * lr / (gap * gap)
+    a, b = poly[0], poly[1] if len(poly) > 1 else Fraction(0)
+    if not terms:
+        return (e.op, a, b)
+    if e.op == "sin" and len(terms) == 1 and terms[0][0] == 1:
+        drift = _chain_form(terms[0][1])
+        if drift is not None and drift[0] == "exp":
+            return ("sinexp", a, b, drift[1], drift[2])
     return None
 
 
@@ -566,41 +509,11 @@ def _sum_hook(e: Expr) -> Optional[Callable[[Grid, RationalLike], Window]]:
     Anything else returns None and integration falls back to per-point
     bracketing.
     """
-    poly: list[Fraction] = [Fraction(0)]
-    chains: list[tuple[Fraction, tuple]] = []
-
-    def absorb(node: Expr, coeff: Fraction) -> bool:
-        nonlocal poly
-        p = _as_poly(node)
-        if p is not None:
-            poly = _poly_add(poly, [coeff * c for c in p])
-            return True
-        if isinstance(node, Binary) and node.op in ("add", "sub"):
-            flip = coeff if node.op == "add" else -coeff
-            return absorb(node.left, coeff) and absorb(node.right, flip)
-        if isinstance(node, Unary) and node.op == "neg":
-            return absorb(node.arg, -coeff)
-        if isinstance(node, Binary) and node.op == "mul":
-            for own, other in ((node.left, node.right), (node.right, node.left)):
-                scale = _as_poly(own)
-                if scale is not None and len(_trim(scale)) == 1:
-                    return absorb(other, coeff * scale[0])
-            return False
-        if isinstance(node, Binary) and node.op == "div":
-            scale = _as_poly(node.right)
-            if scale is not None and len(_trim(scale)) == 1 and scale[0] != 0:
-                return absorb(node.left, coeff / scale[0])
-            return False
-        form = _chain_form(node)
-        if form is not None:
-            chains.append((coeff, form))
-            return True
-        return False
-
-    if not absorb(e, Fraction(1)):
+    coeffs, terms = _linear(e)
+    forms = [_chain_form(node) for _, node in terms]
+    if None in forms:
         return None
-    parts = [(c, form) for c, form in chains if c != 0]
-    coeffs = _trim(poly)
+    parts = [(c, form) for (c, _), form in zip(terms, forms) if c != 0]
 
     def hook(grid: Grid, tol: RationalLike) -> Window:
         budget = as_rational(tol)
@@ -630,14 +543,15 @@ def integrand_map(e: Expr, lo: RationalLike, hi: RationalLike) -> RealMap:
     """Package an expression in x for integration over [lo, hi].
 
     The modulus eps -> eps/L comes from the Lipschitz bound over the
-    interval; integrands without one (a denominator whose range touches
-    zero, say) get modulus None, which integrate rejects.
+    interval.  Only a denominator whose range touches zero there leaves
+    the integrand without one: it gets modulus None, which integrate
+    rejects.
     """
     lo, hi = as_rational(lo), as_rational(hi)
-    box = (min(lo, hi), max(lo, hi))
-    slope = _lipschitz(e, box)
+    bounds = _bounds(e, (min(lo, hi), max(lo, hi)))
     modulus = None
-    if slope is not None:
+    if bounds is not None:
+        slope = bounds[2]
         if slope == 0:
             modulus = lambda eps: Fraction(1)
         else:

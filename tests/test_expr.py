@@ -25,7 +25,7 @@ from exactreal.expr import (
     parse,
     to_text,
 )
-from exactreal.expr import _as_poly, _lipschitz, _range, _sum_hook
+from exactreal.expr import _as_poly, _bounds, _sum_hook
 from exactreal.selftest import check_against_value
 
 F = Fraction
@@ -222,18 +222,38 @@ def test_polynomial_extraction():
 
 def test_range_bounds_are_sound():
     box = (F(-1), F(2))
-    lo, hi = _range(parse("x*x"), box)
+    lo, hi, _ = _bounds(parse("x*x"), box)
     assert lo <= 0 and hi >= 4
-    lo, hi = _range(parse("recip(x)"), (F(1), F(2)))
+    lo, hi, _ = _bounds(parse("recip(x)"), (F(1), F(2)))
     assert lo <= F(1, 2) and hi >= 1
-    assert _range(parse("recip(x)"), (F(-1), F(1))) is None
+    assert _bounds(parse("recip(x)"), (F(-1), F(1))) is None
 
 
 def test_lipschitz_bounds():
-    assert _lipschitz(parse("2*x + 1"), (F(0), F(1))) == 2
-    slope = _lipschitz(parse("exp(x)"), (F(0), F(1)))
+    assert _bounds(parse("2*x + 1"), (F(0), F(1)))[2] == 2
+    slope = _bounds(parse("exp(x)"), (F(0), F(1)))[2]
     assert slope >= F(2718, 1000)
-    assert _lipschitz(parse("recip(x)"), (F(-1), F(1))) is None
+    assert _bounds(parse("recip(x)"), (F(-1), F(1))) is None
+
+
+# The moduli and hooks fix the grids every integral walks, so these pin
+# the work of the benchmark's and the CLI's integrands.
+@pytest.mark.parametrize(
+    "text, hi, modulus, hooked",
+    [
+        ("x*x", 2, F(1, 4), True),
+        ("exp(x)", 1, F(6, 17), True),
+        ("sin(x)", 1, F(1), True),
+        ("sin(x + exp(x))", 1, F(6, 23), True),
+        ("1/(1+x*x)", 1, F(1, 2), False),
+        ("2*exp(x) - x", 1, F(3, 20), True),
+        ("cos(x)", 3, F(1), True),
+    ],
+)
+def test_integrand_modulus_and_hook_are_pinned(text, hi, modulus, hooked):
+    f = integrand_map(parse(text), 0, hi)
+    assert f.modulus(1) == modulus
+    assert (f.sum_enclosure is not None) == hooked
 
 
 def test_sum_hook_supported_shapes():
@@ -267,9 +287,10 @@ def test_integrate_sin_expression():
     assert float(b.lo) - 1e-9 <= target <= float(b.hi) + 1e-9
 
 
-def test_integrate_sin_of_affine_plus_exp_against_quadrature(monkeypatch):
-    # The sin(x + exp(x)) chain is the only grid sum that still walks every
-    # point, so each member must run it once per query width, not per query.
+def _sin_exp_integral(monkeypatch, text):
+    """Integrate text over [0, 1] to width 1/100, check the bracket against
+    mpmath's quad of sin(t + exp(t)), and count sin_exp_grid_sum calls per
+    (grid, tol)."""
     import mpmath
 
     from exactreal import expr
@@ -282,7 +303,7 @@ def test_integrate_sin_of_affine_plus_exp_against_quadrature(monkeypatch):
         return chain(a, b, c, d, grid, tol)
 
     monkeypatch.setattr(expr, "sin_exp_grid_sum", counted)
-    f = integrand_map(parse("sin(x + exp(x))"), 0, 1)
+    f = integrand_map(parse(text), 0, 1)
     b = tight_bound(integrate(f, 0, 1), F(1, 100))
     with mpmath.workdps(30):
         value, error = mpmath.quad(
@@ -292,7 +313,19 @@ def test_integrate_sin_of_affine_plus_exp_against_quadrature(monkeypatch):
         lo, hi = (F(mpmath.nstr(v, 25)) for v in (value - slack, value + slack))
     assert b.lo < lo and hi < b.hi
     assert b.width < F(1, 100)
+    return calls
+
+
+def test_integrate_sin_of_affine_plus_exp_against_quadrature(monkeypatch):
+    # The sin(x + exp(x)) chain is the only grid sum that still walks every
+    # point, so each member must run it once per query width, not per query.
+    calls = _sin_exp_integral(monkeypatch, "sin(x + exp(x))")
     assert calls and set(calls.values()) == {1}
+
+
+def test_scaled_exp_drift_runs_the_sin_exp_chain(monkeypatch):
+    # 2*exp(x)/2 is exp(x) with coefficient 1, so the drift chain applies.
+    assert _sin_exp_integral(monkeypatch, "sin(x + 2*exp(x)/2)")
 
 
 def test_integrate_mixed_expression():
