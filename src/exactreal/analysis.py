@@ -30,6 +30,7 @@ from exactreal.arith import (
     Sign,
     absolute,
     add,
+    from_windows,
     limit,
     maximum,
     minimum,
@@ -105,19 +106,20 @@ class Grid:
 def _grid_sum(f: RealMap, grid: Grid) -> CReal:
     """step * (sum of f over the grid), answered from exact rational enclosures.
 
-    Query (q, r) reads an enclosure of the sum no wider than tol = (r - q)/2,
-    from f.sum_enclosure or else per point: a value carrying `exact` adds
-    the cell of a grid of width tol/(step*count) holding it, any other a
-    tight bound that narrow (small grids only).
-    Enclosures are kept per exact tol, so the same-width queries of a
-    tight_bound scan share one; with a hook, answers depend on (q, r) alone.
+    A query (q, r) reads from_windows' first window, at tol = 2*eps =
+    (r - q)/2, no wider than tol, so that window decides it.  It comes from
+    f.sum_enclosure or else per point: a value carrying `exact` adds the
+    cell of a grid of width tol/(step*count) holding it, any other a tight
+    bound that narrow (small grids only).  With a hook, answers depend on
+    (q, r) alone.
     """
     values: dict[Rational, CReal] = {}
-    windows: dict[Rational, Window] = {}
 
-    def enclose(tol: Rational) -> Window:
+    def enclose(eps: Rational) -> Window:
+        tol = 2 * eps
         if f.sum_enclosure is not None:
-            return f.sum_enclosure(grid, tol / grid.step)
+            lo, hi = f.sum_enclosure(grid, tol / grid.step)
+            return grid.step * lo, grid.step * hi
         lo = hi = Fraction(0)
         slack = tol / (grid.step * grid.count)
         for point in grid:
@@ -133,17 +135,9 @@ def _grid_sum(f: RealMap, grid: Grid) -> CReal:
             piece = tight_bound(value, slack)
             lo += piece.lo
             hi += piece.hi
-        return lo, hi
+        return grid.step * lo, grid.step * hi
 
-    def decide(q: Rational, r: Rational) -> Side:
-        tol = (r - q) / 2
-        window = windows.get(tol)
-        if window is None:
-            # decide runs outside the real's lock; the first window stored wins.
-            window = windows.setdefault(tol, enclose(tol))
-        return Side.RIGHT if q < grid.step * window[0] else Side.LEFT
-
-    return CReal(decide, name=f"sum/{grid.count}")
+    return from_windows(enclose, f"sum/{grid.count}")
 
 
 def integrate(f: RealMap, a: Endpoint, b: Endpoint) -> CReal:

@@ -5,10 +5,10 @@ the operands, so values stay exact and nothing is evaluated until someone
 asks the result a question.  Negation, min, max, and rational scaling
 transform single queries; addition and multiplication first pin the
 operands into brackets just tight enough that one side of the query becomes
-certain.  Limits of Cauchy sequences (given a modulus) close the system;
-pi is such a limit of rational arctan partial sums.  exp, sin and cos
-(and e = exp(1)) answer each query directly from rational series windows
-taken at a rational argument or over a bracket of any other.
+certain.  Limits of Cauchy sequences (given a modulus) close the system.
+exp, sin and cos (and e = exp(1)) answer each query from rational series
+windows at a rational argument or over a bracket of any other; arctan of a
+rational and pi (Machin's formula) from windows of the arctan series.
 
 Rational operands fold.  When every operand carries `exact` (it was built
 by from_rational), neg, recip, min and max return from_rational of the
@@ -318,23 +318,41 @@ def limit(seq: Callable[[int], CReal], modulus: CauchyModulus, name: str = "limi
 
 # ---------------------------------------------------------------------------
 # Power series.  exp, sin and cos answer each query from the rational
-# series windows of `enclosures`.  A rational argument is read at the
-# point; any other is bracketed, f is enclosed over the bracket, and both
-# tighten until the enclosure is narrower than the query.  exp is
-# monotone, so windows at the bracket ends enclose it; sin and cos are
-# 1-Lipschitz, so the window at the midpoint padded by the bracket's
-# half-width does.  The windows carry the series' only tail bound.
+# series windows of `enclosures`, arctan and pi from those of the arctan
+# series.  A rational argument is read at the point; any other is
+# bracketed, f is enclosed over the bracket, and both tighten until the
+# enclosure is narrower than the query.  exp is monotone, so windows at
+# the bracket ends enclose it; sin and cos are 1-Lipschitz, so the window
+# at the midpoint padded by the bracket's half-width does.
 # ---------------------------------------------------------------------------
 
 
-def _window_real(x: CReal, window: WindowFn, name: str, monotone: bool = False) -> CReal:
-    """f(x), where window(t, eps) gives rationals lo <= f(t) <= hi, hi - lo <= eps.
+def from_windows(enclose: Callable[[Rational], Window], name: str) -> CReal:
+    """The real held by enclose(eps) = (lo, hi), a width going to 0 with eps.
 
     Each query (q, r) starts at eps = (r - q)/4 and divides eps by 4 until
-    q < lo (RIGHT) or hi < r (LEFT).  The enclosure's width goes to 0 with
-    eps, and once it is below r - q one of the two must hold; at a rational
-    x that is the first window.
+    q < lo (RIGHT) or hi < r (LEFT).  Windows are kept per exact eps, so the
+    same-width queries of a tight_bound scan share one; where a window
+    depends on eps alone, every answer is a function of (q, r).
     """
+    windows: dict[Rational, Window] = {}
+
+    def decide(q: Rational, r: Rational) -> Side:
+        eps = (r - q) / 4
+        while True:
+            # decide runs outside the real's lock; the first window stored wins.
+            lo, hi = windows.get(eps) or windows.setdefault(eps, enclose(eps))
+            if q < lo:
+                return Side.RIGHT
+            if hi < r:
+                return Side.LEFT
+            eps /= 4
+
+    return CReal(decide, name=name)
+
+
+def _window_real(x: CReal, window: WindowFn, name: str, monotone: bool = False) -> CReal:
+    """f(x), where window(t, eps) gives rationals lo <= f(t) <= hi, hi - lo <= eps."""
 
     def enclose(eps: Rational) -> Window:
         if x.exact is not None:
@@ -345,17 +363,7 @@ def _window_real(x: CReal, window: WindowFn, name: str, monotone: bool = False) 
         lo, hi = window(b.midpoint, eps)
         return lo - b.width / 2, hi + b.width / 2
 
-    def decide(q: Rational, r: Rational) -> Side:
-        eps = (r - q) / 4
-        while True:
-            lo, hi = enclose(eps)
-            if q < lo:
-                return Side.RIGHT
-            if hi < r:
-                return Side.LEFT
-            eps /= 4
-
-    return CReal(decide, name=name)
+    return from_windows(enclose, name)
 
 
 def exp(x: CReal) -> CReal:
@@ -412,34 +420,51 @@ def _arctan_modulus(q: Rational, eps: RationalLike) -> int:
     return hit
 
 
-def arctan_rational(q: RationalLike) -> CReal:
-    """arctan q for rational |q| < 1, as rational alternating partial sums.
+def _arctan_window(q: Rational) -> Callable[[Rational], Window]:
+    """eps -> partial sum n = _arctan_modulus(q, eps/2) of arctan q, +- the next term.
 
-    Every partial sum is itself rational, so members are rational locators
-    and the modulus is the first-omitted-term bound |q|^(2N+3)/(2N+3).
+    For q = a/b, partial sum k is num/den, den = b^(2k+1) (2k+1)!!, reduced once per
+    window, not per term: near |q| = 1 a window sums thousands of terms of ~10^5 bits.
     """
+    a, b = q.numerator, q.denominator
+    state = (0, a, b, a)  # k, num, den, a^(2k+1) (2k-1)!!
+    lock = threading.Lock()
+
+    def enclose(eps: Rational) -> Window:
+        nonlocal state
+        n = _arctan_modulus(q, eps / 2)
+        with lock:
+            k, num, den, term = state if state[0] <= n else (0, a, b, a)
+            for k in range(k + 1, n + 1):
+                term *= a * a * (2 * k - 1)
+                num, den = num * b * b * (2 * k + 1) + (-1) ** k * term, den * b * b * (2 * k + 1)
+            state = max(state, (n, num, den, term))
+        total, tail = Fraction(num, den), abs(q) ** (2 * n + 3) / (2 * n + 3)
+        return total - tail, total + tail
+
+    return enclose
+
+
+def arctan_rational(q: RationalLike) -> CReal:
+    """arctan q for rational |q| < 1, from windows of its alternating series."""
     q = as_rational(q)
     if not abs(q) < 1:
         raise ValueError(f"arctan series needs |q| < 1, got {q}")
-
-    partials: list[Rational] = []
-
-    def partial(n: int) -> CReal:
-        while len(partials) <= n:
-            k = len(partials)
-            term = Fraction((-1) ** k) * q ** (2 * k + 1) / (2 * k + 1)
-            partials.append((partials[-1] if partials else 0) + term)
-        return from_rational(partials[n])
-
-    return limit(partial, lambda eps: _arctan_modulus(q, eps), name=f"arctan({q})")
+    return from_windows(_arctan_window(q), f"arctan({q})")
 
 
 def pi() -> CReal:
-    """16 arctan(1/5) - 4 arctan(1/239).  A fresh locator per call."""
-    return sub(
-        scalar_mul(16, arctan_rational(Fraction(1, 5))),
-        scalar_mul(4, arctan_rational(Fraction(1, 239))),
-    )
+    """16 arctan(1/5) - 4 arctan(1/239).  A fresh locator per call.
+
+    The arctan windows get eps/32 and eps/8, so the scaled widths sum to at most eps.
+    """
+    five, big = _arctan_window(Fraction(1, 5)), _arctan_window(Fraction(1, 239))
+
+    def enclose(eps: Rational) -> Window:
+        (lo5, hi5), (lo239, hi239) = five(eps / 32), big(eps / 8)
+        return 16 * lo5 - 4 * hi239, 16 * hi5 - 4 * lo239
+
+    return from_windows(enclose, "pi")
 
 
 def e() -> CReal:

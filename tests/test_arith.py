@@ -480,6 +480,45 @@ def test_arctan_and_pi_against_machin_oracle():
     assert five.lo < oracle_5 < five.hi
 
 
+@pytest.mark.parametrize("q", ["pi", "1/5", "1/239", "-1/2", "99/100"])
+def test_arctan_and_pi_windows_against_mpmath(monkeypatch, q):
+    # pi and arctan answer from their series windows, with no bracket search
+    # and no limit.  Queries of width 1/2 down to 10^-60 with one end
+    # 10^-75 from an 80-digit mpmath value are forced, on both sides.
+    import mpmath
+
+    import exactreal.arith as arith
+
+    monkeypatch.setattr(arith, "tight_bound", lambda x, eps: pytest.fail("bracket search"))
+    monkeypatch.setattr(arith, "limit", lambda *args, **kwargs: pytest.fail("limit"))
+    with mpmath.workdps(80):
+        if q == "pi":
+            real, value = pi(), _mp_fraction(+mpmath.pi)
+        else:
+            t = Fraction(q)
+            real = arctan_rational(t)
+            value = _mp_fraction(mpmath.atan(mpmath.mpf(t.numerator) / t.denominator))
+    g = Fraction(1, 10**75)
+    for w in [Fraction(1, 2)] + [Fraction(1, 10**k) for k in range(1, 61)]:
+        assert real.locate(value - g - w, value - g) is Side.RIGHT, w
+        assert real.locate(value + g, value + g + w) is Side.LEFT, w
+
+
+def test_e_takes_one_window_per_query_width(monkeypatch):
+    # The same-width cells of a tight_bound scan share one series window.
+    import exactreal.arith as arith
+
+    widths = []
+
+    def counted(t, eps):
+        widths.append(eps)
+        return exp_window(t, eps)
+
+    monkeypatch.setattr(arith, "exp_window", counted)
+    assert tight_bound(e(), Fraction(1, 10**30)).width < Fraction(1, 10**30)
+    assert widths and len(widths) == len(set(widths))
+
+
 def test_e_bracket_contains_oracle():
     n0 = _exp_oracle_terms(18, Fraction(2), Fraction(1, 10**10))
     val = _exp_partial(Fraction(1), n0)

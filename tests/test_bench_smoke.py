@@ -42,3 +42,8 @@ def test_tracer_finds_what_it_wraps():
     for name in tracer.ENCLOSURES_IN_EXPR:
         assert getattr(expr, name) is getattr(enclosures, name), name
     assert callable(analysis._grid_sum)
+    # install() looks up every constructor and spanned name by attribute.
+    for table in (tracer.CONSTRUCTORS, tracer.SPANNED):
+        for module, names in table.items():
+            for name in names:
+                assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"

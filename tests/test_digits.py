@@ -81,9 +81,9 @@ def test_extraction_is_lazy():
 
 def test_pi_digits_against_machin_oracle():
     rep = to_signed_digits(pi())
-    assert rep.integer_part == 3
-    assert [rep.digit(i) for i in range(10)] == [1, 4, 2, -4, -1, 3, -3, -5, 4, -4]
-    assert render_digits(rep, 10) == "3.142(-4)(-1)3(-3)(-5)4(-4)"
+    assert rep.integer_part == 4
+    assert [rep.digit(i) for i in range(10)] == [-8, -5, -8, -4, 0, -7, -3, -4, -6, -4]
+    assert render_digits(rep, 10) == "4.(-8)(-5)(-8)(-4)0(-7)(-3)(-4)(-6)(-4)"
     oracle = 16 * sum(
         Fraction((-1) ** k) * Fraction(1, 5) ** (2 * k + 1) / (2 * k + 1) for k in range(16)
     ) - 4 * sum(
