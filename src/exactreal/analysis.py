@@ -268,6 +268,20 @@ class NonzeroWitness:
         require_positive(self.gap, "gap")
 
 
+def _first_hit(d: Rational) -> Optional[tuple[int, Sign]]:
+    """The least j, and the sign, at which from_rational(d) hits a probe at
+    gap 10^-j: RIGHT to (gap, 2*gap) iff 10^j * num > den, LEFT to
+    (-2*gap, -gap) iff 10^j * -num >= 2 * den.  None when d = 0."""
+    num, den = d.numerator, d.denominator
+    if num == 0:
+        return None
+    sign, reach, need = (Sign.POSITIVE, num, den + 1) if num > 0 else (Sign.NEGATIVE, -num, 2 * den)
+    j = 0
+    while reach < need:
+        reach, j = 10 * reach, j + 1
+    return j, sign
+
+
 def nonconstant_search(
     f: RealMap,
     lo: RationalLike,
@@ -285,22 +299,31 @@ def nonconstant_search(
     below -gap.  If f is continuous and not constantly equal to target on
     (lo, hi), some pair (i, j) makes a query forced, so the scan
     terminates.  Deterministic: same map, same witness.
+
+    A difference carrying `exact` (a polynomial at a rational point) is
+    not asked: each probe compares j with _first_hit, read off it once, and
+    gets its locator's answers, so witnesses and codes spent stay the same.
     """
     lo, hi = as_rational(lo), as_rational(hi)
     if not lo < hi:
         raise ValueError("need lo < hi")
     span = hi - lo
     goal = _as_real(target)
-    diffs: dict[Rational, CReal] = {}
+    # Per point index: the point, its difference, and _first_hit of an exact one.
+    entries: dict[int, tuple[Rational, CReal, Optional[tuple[int, Sign]]]] = {}
     found: list[NonzeroWitness] = []
 
     def probe(code: int) -> bool:
         i, j = cantor_decode(code)
-        point = lo + span * unit_rational(i)
-        diff = diffs.get(point)
-        if diff is None:
+        if i not in entries:
+            point = lo + span * unit_rational(i)
             diff = sub(f.apply(from_rational(point)), goal)
-            diffs[point] = diff
+            entries[i] = point, diff, None if diff.exact is None else _first_hit(diff.exact)
+        point, diff, hit = entries[i]
+        if diff.exact is not None:
+            if hit is not None and j >= hit[0]:
+                found.append(NonzeroWitness(point, Fraction(1, 10**j), hit[1]))
+            return bool(found)
         gap = Fraction(1, 10**j)
         if diff.locates_right(gap, 2 * gap):
             found.append(NonzeroWitness(point, gap, Sign.POSITIVE))

@@ -295,23 +295,13 @@ def limit(seq: Callable[[int], CReal], modulus: CauchyModulus, name: str = "limi
 
     Per query (q, r): with eps = (r - q)/3, the member at M(eps/2) sits
     within eps of the limit, so its answer about (q + eps, r - eps)
-    transfers.  Members are cached so repeated queries land on the same
-    CReal and share its memo.
+    transfers.  seq(n) is called per query: a sequence whose members
+    should share their memos keeps them itself.
     """
-    members: dict[int, CReal] = {}
-    lock = threading.Lock()
-
-    def member(n: int) -> CReal:
-        with lock:
-            m = members.get(n)
-            if m is None:
-                m = seq(n)
-                members[n] = m
-            return m
 
     def decide(q: Rational, r: Rational) -> Side:
         eps = (r - q) / 3
-        return member(modulus(eps / 2)).locate(q + eps, r - eps)
+        return seq(modulus(eps / 2)).locate(q + eps, r - eps)
 
     return CReal(decide, name=name)
 

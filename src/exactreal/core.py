@@ -127,8 +127,9 @@ class CReal:
     are the paper's extraction algorithms and run the same on every
     locator.  Constructions read it to skip searches on rationals: `arith`
     folds rational operands, shifts sums by one and reads exp, sin and cos
-    at one; `analysis` splits between rational root ends and adds rational
-    grid values without a search.
+    at one; `analysis` splits between rational root ends, decides sign
+    witnesses on rational differences by integer comparison, and adds
+    rational grid values without a search.
     """
 
     __slots__ = ("_decide", "name", "_lock", "_answers", "_lo", "_hi", "_evals", "_exact")

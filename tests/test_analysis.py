@@ -20,9 +20,17 @@ from exactreal.analysis import (
 )
 from exactreal.analysis import _grid_sum
 from exactreal.arith import RealMap, Sign, add, e, exp, mul, pi, sub
-from exactreal.core import CReal, SearchExhausted, Side, from_rational, tight_bound
+from exactreal.core import (
+    CReal,
+    SearchExhausted,
+    Side,
+    evaluation_count,
+    from_rational,
+    tight_bound,
+)
 from exactreal.digits import prefix_value, render_digits, to_signed_digits
-from exactreal.expr import integrand_map, parse
+from exactreal.expr import as_real_map, integrand_map, parse
+from exactreal.rational import unit_rational
 
 F = Fraction
 
@@ -477,9 +485,10 @@ def test_approx_ivt_cubic():
 def test_nonconstant_search_replays():
     # Pair enumeration first reaches gap 1/10 at the interval midpoint,
     # where the forced query (1/10, 2/10) certifies f > gap.  The
-    # differences at rational points fold to rationals, whose locators
-    # answer an unforced query by comparing q with the value: on (1, 2)
-    # the difference 3/2 answers RIGHT to (1, 2) at gap 1, and at 3/4 the
+    # differences at rational points fold to rationals, decided by integer
+    # comparison with the answers of their locators, which answer an
+    # unforced query by comparing q with the value: on (1, 2) the
+    # difference 3/2 answers RIGHT to (1, 2) at gap 1, and at 3/4 the
     # difference -23/16 answers RIGHT to (-2, -1), so that witness waits
     # for gap 1/10.
     wit = nonconstant_search(IDENTITY_BARE, 0, 1, 0)
@@ -502,6 +511,90 @@ def test_nonconstant_search_exhausts_on_constant_map():
     flat = RealMap(apply=lambda u: from_rational(0), name="0")
     with pytest.raises(SearchExhausted):
         nonconstant_search(flat, 0, 1, 0, cap=60)
+
+
+def _values_behind_locators(f):
+    """f with each value wrapped in a plain locator, which carries no `exact`."""
+    return RealMap(apply=lambda u: CReal(f.apply(u).locate), name=f.name)
+
+
+def _witness_or_exhausted(f, lo, hi, target, cap):
+    try:
+        return nonconstant_search(f, lo, hi, target, cap=cap)
+    except SearchExhausted:
+        return "exhausted"
+
+
+def _pair_code(lo, hi, witness):
+    """The Cantor pair code at which nonconstant_search finds witness."""
+    i = next(i for i in range(10**4) if lo + (hi - lo) * unit_rational(i) == witness.point)
+    j = len(str(witness.gap.denominator)) - 1
+    assert witness.gap == F(1, 10**j)
+    return (i + j) * (i + j + 1) // 2 + j
+
+
+def test_nonconstant_search_reads_exact_differences_like_their_locators():
+    # Each case is searched twice: with the map's values as they come (the
+    # differences fold to exact rationals, decided by integer comparison)
+    # and behind plain locators (the differences are asked their queries).
+    # -3/20 lies in (-2/10, -1/10]: the locator answers RIGHT to
+    # (-2/10, -1/10), so its witness waits for gap 1/100, where a symmetric
+    # |d| > gap rule would stop at gap 1/10.  -2/10, -1/10 and 1/10 sit on
+    # the boundaries, and a constant difference of 0 exhausts the cap.
+    cases = [
+        (as_real_map(parse("x")), F(0), F(1), F(13, 20)),
+        (as_real_map(parse("x")), F(0), F(1), F(7, 10)),
+        (as_real_map(parse("x")), F(0), F(1), F(6, 10)),
+        (as_real_map(parse("x")), F(0), F(1), F(4, 10)),
+        (RealMap(apply=lambda u: from_rational(F(-3, 20)), name="-3/20"), F(0), F(1), F(0)),
+        (RealMap(apply=lambda u: from_rational(F(2)), name="2"), F(0), F(1), F(2)),
+        (SQUARE_LESS_2, F(707, 500), F(283, 200), F(0)),
+    ]
+    rng = random.Random(2018)
+
+    def rational(k):
+        return F(rng.randint(-k, k), rng.randint(1, k))
+
+    for _ in range(60):
+        coefficients = [rational(9) for _ in range(rng.randint(1, 4))]
+        text = " + ".join(
+            f"{c.numerator}/{c.denominator}" + "*x" * power
+            for power, c in enumerate(coefficients)
+        )
+        lo, hi = rational(6), rational(6)
+        if lo == hi:
+            hi = lo + 1
+        cases.append((as_real_map(parse(text)), min(lo, hi), max(lo, hi), rational(20)))
+    witnesses = set()
+    for f, lo, hi, target in cases:
+        direct = _witness_or_exhausted(f, lo, hi, target, 3000)
+        asked = _witness_or_exhausted(_values_behind_locators(f), lo, hi, target, 3000)
+        assert direct == asked, (f.name, lo, hi, target)
+        witnesses.add(direct)
+    assert NonzeroWitness(F(1, 2), F(1, 100), Sign.NEGATIVE) in witnesses
+    assert "exhausted" in witnesses
+
+
+def test_nonconstant_search_on_exact_differences_asks_no_locator():
+    before = evaluation_count()
+    nonconstant_search(SQUARE_LESS_2, F(1, 2), 1, 0)
+    assert evaluation_count() == before
+    exp_less_2 = RealMap(apply=lambda u: sub(exp(u), from_rational(2)), name="exp(t)-2")
+    nonconstant_search(exp_less_2, 0, 1, 0)
+    assert evaluation_count() > before
+
+
+def test_nonconstant_search_spends_the_same_codes_against_the_cap():
+    # bounded_search tries codes 0 .. cap - 1, so a witness at code c needs
+    # cap c + 1.
+    lo, hi = F(707, 500), F(283, 200)
+    witness = nonconstant_search(SQUARE_LESS_2, lo, hi, 0)
+    code = _pair_code(lo, hi, witness)
+    assert code > 10
+    for f in (SQUARE_LESS_2, _values_behind_locators(SQUARE_LESS_2)):
+        with pytest.raises(SearchExhausted):
+            nonconstant_search(f, lo, hi, 0, cap=code)
+        assert nonconstant_search(f, lo, hi, 0, cap=code + 1) == witness
 
 
 def test_nonconstant_search_validates_interval():
