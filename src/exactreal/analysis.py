@@ -23,7 +23,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 from exactreal.arith import (
     RealMap,
@@ -35,6 +35,7 @@ from exactreal.arith import (
     maximum,
     minimum,
     mul,
+    probe_sign,
     scalar_mul,
     sub,
 )
@@ -45,11 +46,12 @@ from exactreal.core import (
     archimedean_midpoint,
     bounded_search,
     from_rational,
+    get_search_cap,
     once,
     tight_bound,
     upper_bound,
 )
-from exactreal.enclosures import Window
+from exactreal.enclosures import Grid, Window
 from exactreal.rational import (
     Rational,
     RationalLike,
@@ -72,35 +74,6 @@ def _as_real(value: Endpoint) -> CReal:
 
 def _exact(value: Endpoint) -> Optional[Rational]:
     return value.exact if isinstance(value, CReal) else as_rational(value)
-
-
-@dataclass(frozen=True)
-class Grid:
-    """Evenly spaced rational sample points start + k*step for 0 <= k < count."""
-
-    start: Rational
-    step: Rational
-    count: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "start", as_rational(self.start))
-        object.__setattr__(self, "step", require_positive(self.step, "grid step"))
-        if self.count < 1:
-            raise ValueError("grid needs at least one point")
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __getitem__(self, k: int) -> Rational:
-        if not 0 <= k < self.count:
-            raise IndexError(k)
-        return self.start + k * self.step
-
-    def __iter__(self) -> Iterator[Rational]:
-        value = self.start
-        for _ in range(self.count):
-            yield value
-            value += self.step
 
 
 def _grid_sum(f: RealMap, grid: Grid) -> CReal:
@@ -268,20 +241,6 @@ class NonzeroWitness:
         require_positive(self.gap, "gap")
 
 
-def _first_hit(d: Rational) -> Optional[tuple[int, Sign]]:
-    """The least j, and the sign, at which from_rational(d) hits a probe at
-    gap 10^-j: RIGHT to (gap, 2*gap) iff 10^j * num > den, LEFT to
-    (-2*gap, -gap) iff 10^j * -num >= 2 * den.  None when d = 0."""
-    num, den = d.numerator, d.denominator
-    if num == 0:
-        return None
-    sign, reach, need = (Sign.POSITIVE, num, den + 1) if num > 0 else (Sign.NEGATIVE, -num, 2 * den)
-    j = 0
-    while reach < need:
-        reach, j = 10 * reach, j + 1
-    return j, sign
-
-
 def nonconstant_search(
     f: RealMap,
     lo: RationalLike,
@@ -291,54 +250,36 @@ def nonconstant_search(
 ) -> NonzeroWitness:
     """A rational point in (lo, hi) where f is provably apart from target.
 
-    Enumerates Cantor pair codes: code -> (i, j) tries the i-th rational
-    of (lo, hi) under the fixed unit-interval enumeration with gap 10^-j,
-    asking f(point) - target the queries (gap, 2*gap) and (-2*gap, -gap).
-    Any hit is sound whether or not it was forced: RIGHT on the first
-    certifies the difference exceeds gap, LEFT on the second that it is
-    below -gap.  If f is continuous and not constantly equal to target on
+    Walks Cantor pair codes up to the cap: code -> (i, j) tries the i-th
+    rational of (lo, hi) under the fixed unit-interval enumeration with
+    gap 10^-j, asking probe_sign about f(point) - target.  Any hit is
+    sound whether or not it was forced: RIGHT to (gap, 2*gap) certifies
+    the difference exceeds gap, LEFT to (-2*gap, -gap) that it is below
+    -gap.  If f is continuous and not constantly equal to target on
     (lo, hi), some pair (i, j) makes a query forced, so the scan
-    terminates.  Deterministic: same map, same witness.
-
-    A difference carrying `exact` (a polynomial at a rational point) is
-    not asked: each probe compares j with _first_hit, read off it once, and
-    gets its locator's answers, so witnesses and codes spent stay the same.
+    terminates.  Deterministic: same map, same witness.  A difference
+    carrying `exact` (a polynomial at a rational point) is decided by
+    integer comparison, with the answers of its from_rational locator.
     """
     lo, hi = as_rational(lo), as_rational(hi)
     if not lo < hi:
         raise ValueError("need lo < hi")
     span = hi - lo
     goal = _as_real(target)
-    # Per point index: the point, its difference, and _first_hit of an exact one.
-    entries: dict[int, tuple[Rational, CReal, Optional[tuple[int, Sign]]]] = {}
-    found: list[NonzeroWitness] = []
-
-    def probe(code: int) -> bool:
+    budget = cap if cap is not None else get_search_cap()
+    diffs: dict[int, tuple[Rational, CReal]] = {}  # point index -> point, difference
+    for code in range(budget):
         i, j = cantor_decode(code)
-        if i not in entries:
+        if i not in diffs:
             point = lo + span * unit_rational(i)
-            diff = sub(f.apply(from_rational(point)), goal)
-            entries[i] = point, diff, None if diff.exact is None else _first_hit(diff.exact)
-        point, diff, hit = entries[i]
-        if diff.exact is not None:
-            if hit is not None and j >= hit[0]:
-                found.append(NonzeroWitness(point, Fraction(1, 10**j), hit[1]))
-            return bool(found)
-        gap = Fraction(1, 10**j)
-        if diff.locates_right(gap, 2 * gap):
-            found.append(NonzeroWitness(point, gap, Sign.POSITIVE))
-        elif diff.locates_left(-2 * gap, -gap):
-            found.append(NonzeroWitness(point, gap, Sign.NEGATIVE))
-        return bool(found)
-
-    try:
-        bounded_search(probe, cap)
-    except SearchExhausted:
-        raise SearchExhausted(
-            f"no sign witness for {f.name} on ({lo}, {hi}); "
-            "is the map nonconstant there?"
-        ) from None
-    return found[0]
+            diffs[i] = point, sub(f.apply(from_rational(point)), goal)
+        point, diff = diffs[i]
+        sign = probe_sign(diff, j)
+        if sign is not None:
+            return NonzeroWitness(point, Fraction(1, 10**j), sign)
+    raise SearchExhausted(
+        f"no sign witness for {f.name} on ({lo}, {hi}); is the map nonconstant there?"
+    )
 
 
 def exact_ivt(f: RealMap, a: Endpoint, b: Endpoint) -> CReal:

@@ -268,23 +268,42 @@ def recip(x: CReal, witness: ApartnessWitness) -> CReal:
     return CReal(decide, name=f"recip({_clip(x.name)})")
 
 
+def probe_sign(x: CReal, j: int) -> Optional[Sign]:
+    """The sign certified by the probe pair at gap g = 10^-j, if either hits.
+
+    POSITIVE when x answers RIGHT to (g, 2g), certifying x > g; NEGATIVE
+    when it answers LEFT to (-2g, -g), certifying x < -g; None when neither
+    does.  A real carrying `exact` is not asked: the integer comparisons
+    g < x and x <= -2g are from_rational's answers, and being true facts
+    they stay sound for a locator of the same rational that concedes
+    only at a finer gap.
+    """
+    d = x.exact
+    if d is not None:
+        scaled = 10**j * d.numerator
+        if scaled > d.denominator:
+            return Sign.POSITIVE
+        return Sign.NEGATIVE if -scaled >= 2 * d.denominator else None
+    g = Fraction(1, 10**j)
+    if x.locates_right(g, 2 * g):
+        return Sign.POSITIVE
+    return Sign.NEGATIVE if x.locates_left(-2 * g, -g) else None
+
+
 def find_apartness(x: CReal, cap: Optional[int] = None) -> ApartnessWitness:
     """Search for a certificate that x is apart from 0.
 
-    Tests the forced queries (10^-j, 2*10^-j) and (-2*10^-j, -10^-j) at
-    ever finer j; a sound locator must eventually concede a side if x
-    really is apart from zero.  Caller asserts x != 0; an exact zero
-    fails at once.
+    Asks probe_sign at j = 0, 1, 2, ...; a sound locator must eventually
+    concede a side if x really is apart from zero.  Caller asserts x != 0;
+    an exact zero fails at once.
     """
     if x.exact == 0:
         raise SearchExhausted(f"no apartness witness for {x.name}: it is exactly zero")
     budget = cap if cap is not None else get_search_cap()
     for j in range(budget):
-        g = Fraction(1, 10**j)
-        if x.locates_right(g, 2 * g):
-            return ApartnessWitness(Sign.POSITIVE, g)
-        if x.locates_left(-2 * g, -g):
-            return ApartnessWitness(Sign.NEGATIVE, g)
+        sign = probe_sign(x, j)
+        if sign is not None:
+            return ApartnessWitness(sign, Fraction(1, 10**j))
     raise SearchExhausted(
         f"no apartness witness for {x.name} within {budget} refinements; is it zero?"
     )

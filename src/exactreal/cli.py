@@ -9,8 +9,9 @@ stdin; one that starts with "-" goes after "--": digits -n 4 -- "-pi".
 Output is line-oriented plain text and deterministic for fixed flags.
 Any failure prints a single line "error: <kind>: <message>" on stderr;
 the exit status is 0 on success, 1 for domain errors (exhausted
-searches, integrands without a modulus), and 2 for usage errors (bad
-syntax, bad flags, free variables where none is bound).
+searches, integrands without a modulus, nesting beyond the recursion
+limit), and 2 for usage errors (bad syntax, bad flags, free variables
+where none is bound).
 """
 
 import argparse
@@ -33,8 +34,10 @@ from exactreal.expr import (
 )
 from exactreal.selftest import run_self_test
 
-# Limit chains recurse one frame per refinement; the default 1000 frames
-# cut off legitimate evaluations long before any search cap does.
+# Each lifted node asks its operands from inside its own query, so a query
+# nests as deep as the expression tree: digits of e+e+...+e with 150 terms
+# overflow the default 1,000 frames.  Past this limit main reports a
+# domain error.
 _RECURSION_LIMIT = 50_000
 
 
@@ -289,6 +292,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except ValueError as exc:
         print(f"error: domain: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: domain: expression nests too deeply to evaluate", file=sys.stderr)
         return 1
     finally:
         core.set_search_cap(saved_cap)

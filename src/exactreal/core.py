@@ -6,9 +6,10 @@ hold; the locator picks one, deterministically.  When only one holds, a sound
 locator has no choice, and that forced case is what every oracle test and
 every construction in this module leans on.
 
-All searches are exhaustive over fixed enumerations with a configurable
-iteration cap, so a false existence claim by the caller surfaces as a
-SearchExhausted error instead of a hang.
+Every search scans a fixed sequence of probes (dyadic magnitudes, grid
+cells, decimal gaps) under a configurable iteration cap, so a false
+existence claim by the caller surfaces as a SearchExhausted error instead
+of a hang.
 """
 
 from __future__ import annotations
@@ -126,10 +127,10 @@ class CReal:
     (and None otherwise).  The searches in this module never read it: they
     are the paper's extraction algorithms and run the same on every
     locator.  Constructions read it to skip searches on rationals: `arith`
-    folds rational operands, shifts sums by one and reads exp, sin and cos
-    at one; `analysis` splits between rational root ends, decides sign
-    witnesses on rational differences by integer comparison, and adds
-    rational grid values without a search.
+    folds rational operands, shifts sums by one, reads exp, sin and cos at
+    one, and answers the sign probes of both witness searches on one by
+    integer comparison (probe_sign); `analysis` splits between rational
+    root ends and adds rational grid values without a search.
     """
 
     __slots__ = ("_decide", "name", "_lock", "_answers", "_lo", "_hi", "_evals", "_exact")

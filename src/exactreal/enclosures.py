@@ -16,17 +16,43 @@ windows at a single rational point also carry arith's exp, sin and cos.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from exactreal.rational import Rational, RationalLike, as_rational, require_positive
 
-if TYPE_CHECKING:
-    # Annotations only: analysis reaches this module through arith.
-    from exactreal.analysis import Grid
-
 Window = tuple[Rational, Rational]
 WindowFn = Callable[[Rational, Rational], Window]
+
+
+@dataclass(frozen=True)
+class Grid:
+    """Evenly spaced rational sample points start + k*step for 0 <= k < count."""
+
+    start: Rational
+    step: Rational
+    count: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "start", as_rational(self.start))
+        object.__setattr__(self, "step", require_positive(self.step, "grid step"))
+        if self.count < 1:
+            raise ValueError("grid needs at least one point")
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, k: int) -> Rational:
+        if not 0 <= k < self.count:
+            raise IndexError(k)
+        return self.start + k * self.step
+
+    def __iter__(self) -> Iterator[Rational]:
+        value = self.start
+        for _ in range(self.count):
+            yield value
+            value += self.step
 
 
 # ---------------------------------------------------------------------------
@@ -96,12 +122,8 @@ def _sinh_window(q: RationalLike, tol: RationalLike) -> Window:
 # ---------------------------------------------------------------------------
 
 
-def power_sum(n: int, m: int) -> int:
-    """Sum of k^m over k in range(n), exactly."""
-    return _power_sums(n, m)[m]
-
-
 def _power_sums(n: int, m: int) -> list[int]:
+    """Sums of k^d over k in range(n) for d = 0..m, exactly."""
     # Telescoping (k+1)^(d+1) - k^(d+1) over k < n gives
     # n^(d+1) = sum_{j<=d} C(d+1, j) S_j, which solves for S_d from below.
     sums: list[int] = []

@@ -23,10 +23,10 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from exactreal import arith
-from exactreal.analysis import Grid
 from exactreal.arith import RealMap
 from exactreal.core import CReal, from_rational
 from exactreal.enclosures import (
+    Grid,
     Window,
     exp_grid_sum,
     exp_window,
@@ -475,12 +475,6 @@ def _linear(e: Expr) -> Linear:
         if e.op == "mul" and not s and len(p) == 1:
             return _scaled((q, t), p[0])
     return [Fraction(0)], [(Fraction(1), e)]
-
-
-def _as_poly(e: Expr) -> Optional[list[Fraction]]:
-    """Ascending coefficients when e is a rational polynomial in x."""
-    poly, terms = _linear(e)
-    return None if terms else poly
 
 
 def _chain_form(e: Expr) -> Optional[tuple]:

@@ -3,9 +3,9 @@
 Rationals are `fractions.Fraction` values: arbitrary precision, always in
 canonical reduced form with a positive denominator, compared exactly.  This
 module adds what the rest of the library needs on top of the stdlib type:
-an explicit three-way comparison, a fixed bijective enumeration of the
-rationals (and of the open unit interval) used by all bounded searches, the
-Cantor pairing used by two-dimensional searches, and literal parsing.
+an explicit three-way comparison, a fixed enumeration of the open unit
+interval and the Cantor pairing (the trial points and codes of the root
+search's sign witnesses), and literal parsing.
 """
 
 from __future__ import annotations
@@ -74,19 +74,10 @@ def format_rational(q: RationalLike) -> str:
     return str(as_rational(q))
 
 
-# ---------------------------------------------------------------------------
-# Fixed enumeration of the rationals.
-#
-# Positives come from breadth-first order on the Calkin-Wilf tree, whose
-# n-th element is read off the binary digits of n (after the leading 1:
-# 0 = left child a/(a+b), 1 = right child (a+b)/b).  The full enumeration
-# starts at 0 and interleaves each positive with its negation:
-# 0, 1, -1, 1/2, -1/2, 2, -2, 1/3, -1/3, ...
-# Both directions are closed-form, so index_of is cheap.
-# ---------------------------------------------------------------------------
-
-
 def _calkin_wilf(m: int) -> Fraction:
+    """The m-th positive rational (m >= 1) in breadth-first order on the
+    Calkin-Wilf tree: after the leading 1 of m's binary digits, 0 takes the
+    left child a/(a+b) and 1 the right child (a+b)/b."""
     a, b = 1, 1
     for bit in bin(m)[3:]:
         if bit == "0":
@@ -94,44 +85,6 @@ def _calkin_wilf(m: int) -> Fraction:
         else:
             a = a + b
     return Fraction(a, b)
-
-
-def _calkin_wilf_index(q: Fraction) -> int:
-    # Undo whole runs of same-direction steps at once with divmod; the
-    # index has one bit per step, so this costs O(len of the answer).
-    a, b = q.numerator, q.denominator
-    runs = []
-    while a != 1 or b != 1:
-        if a < b:
-            k, rem = divmod(b, a)
-            runs.append("0" * (k if rem else k - 1))
-            b = rem if rem else 1
-        else:
-            k, rem = divmod(a, b)
-            runs.append("1" * (k if rem else k - 1))
-            a = rem if rem else 1
-    return int("1" + "".join(reversed(runs)), 2)
-
-
-def enumerate_rational(n: int) -> Fraction:
-    """The n-th rational of the fixed enumeration (n >= 0)."""
-    if n < 0:
-        raise ValueError("enumeration index must be >= 0")
-    if n == 0:
-        return Fraction(0)
-    if n % 2 == 1:
-        return _calkin_wilf((n + 1) // 2)
-    return -_calkin_wilf(n // 2)
-
-
-def index_of(q: RationalLike) -> int:
-    """Inverse of enumerate_rational: index_of(enumerate_rational(n)) == n."""
-    q = as_rational(q)
-    if q == 0:
-        return 0
-    if q > 0:
-        return 2 * _calkin_wilf_index(q) - 1
-    return 2 * _calkin_wilf_index(-q)
 
 
 def unit_rational(i: int) -> Fraction:

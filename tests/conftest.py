@@ -1,6 +1,7 @@
 import sys
 
-# Queries on deeply lifted constructions (limits whose members are built
-# from earlier members) legitimately stack a few thousand frames.
+# The CLI's limit: each lifted node asks its operands from inside its own
+# query, so a query nests as deep as the expression tree (digits of
+# e+e+...+e with 150 terms overflow the default 1,000 frames).
 sys.setrecursionlimit(50_000)
 

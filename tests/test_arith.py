@@ -23,6 +23,7 @@ from exactreal.arith import (
     mul,
     neg,
     pi,
+    probe_sign,
     recip,
     scalar_mul,
     sin,
@@ -34,7 +35,9 @@ from exactreal.core import (
     SearchExhausted,
     Side,
     cotrans_rational,
+    evaluation_count,
     from_rational,
+    from_rational_second,
     get_search_cap,
     set_search_cap,
     tight_bound,
@@ -260,6 +263,27 @@ def test_find_apartness():
     # An exact zero fails at once, whatever the cap.
     with pytest.raises(SearchExhausted, match="^no apartness witness"):
         find_apartness(sub(from_rational(Fraction(1, 3)), from_rational(Fraction(1, 3))))
+
+
+def test_probe_sign_reads_rationals_like_their_locators():
+    # A rational is compared with the gap, not asked; the answers are those
+    # of its from_rational locator, seen here behind a plain CReal that
+    # carries no `exact`.  They stay true facts for from_rational_second,
+    # whose own locator concedes the positive probe only from 2*gap.
+    for v in [Fraction(k, d) for k in range(-25, 26) for d in (1, 3, 7, 20, 200)]:
+        for j in range(4):
+            g = Fraction(1, 10**j)
+            before = evaluation_count()
+            sign = probe_sign(from_rational(v), j)
+            assert probe_sign(from_rational_second(v), j) is sign
+            assert evaluation_count() == before
+            assert sign is not Sign.POSITIVE or v > g
+            assert sign is not Sign.NEGATIVE or v < -g
+            assert probe_sign(CReal(from_rational(v).locate), j) is sign
+    # Its locator answers LEFT to (1/10, 2/10); the comparison sees 1/10 < 1/7.
+    assert find_apartness(from_rational_second(Fraction(1, 7))) == ApartnessWitness(
+        Sign.POSITIVE, Fraction(1, 10)
+    )
 
 
 def test_apartness_witness_validates_gap():

@@ -179,9 +179,16 @@ def test_trace_keeps_the_callers_hook(capsys):
     finally:
         core.set_trace_hook(None)
     _, err = capsys.readouterr()
-    assert err == "trace: 21 locator evaluations\n"
-    assert during == 21
-    assert len(calls) == 22
+    assert err == "trace: 20 locator evaluations\n"
+    assert during == 20
+    assert len(calls) == 21
+
+
+def test_nesting_past_the_recursion_limit_is_one_domain_error_line():
+    result = run_cli("digits", "(" * 20_000 + "1" + ")" * 20_000)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: domain: expression nests too deeply to evaluate\n"
 
 
 def test_main_exit_codes_in_process(capsys):

@@ -29,8 +29,9 @@ from exactreal.core import (
     tight_bound,
     to_cauchy,
     upper_bound,
+    _scan,
 )
-from exactreal.rational import enumerate_rational
+from exactreal.rational import unit_rational
 
 # Queries where exactly one side is true: soundness forces the answer, so
 # they hold for any correct locator regardless of its bias on ties.
@@ -99,10 +100,11 @@ def test_memo_key_is_the_reduced_rational():
 
 def test_bounded_search_returns_least_index():
     assert bounded_search(lambda n: n >= 3) == 3
-    n = bounded_search(lambda i: enumerate_rational(i) > Fraction(7, 2))
-    assert n == 29
-    assert enumerate_rational(n) == 4
-    assert all(enumerate_rational(i) <= Fraction(7, 2) for i in range(n))
+    # unit_rational is far from monotone: 8/9 is its first value above 7/8.
+    n = bounded_search(lambda i: unit_rational(i) > Fraction(7, 8))
+    assert n == 254
+    assert unit_rational(n) == Fraction(8, 9)
+    assert all(unit_rational(i) <= Fraction(7, 8) for i in range(n))
 
 
 @given(st.integers(min_value=0, max_value=200))
@@ -177,6 +179,22 @@ def test_tight_bounds_for_same_real_intersect():
     for a in brackets:
         for b in brackets:
             assert max(a.lo, b.lo) < min(a.hi, b.hi)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, step, v",
+    [(0, 1, Fraction(3, 10), Fraction(19, 20)), (-1, Fraction(1, 7), Fraction(1, 30), Fraction(7, 50))],
+)
+def test_scan_closes_with_the_incoming_hi_when_every_cell_answers_right(lo, hi, step, v):
+    # The last grid line sits below v, and from_rational answers RIGHT to
+    # every cell that starts below its value, so the walk ends without a
+    # LEFT and the incoming hi closes the bracket, narrower than one step.
+    x = from_rational(v)
+    count = (hi - lo) // step + 1
+    assert all(x.locates_right(lo + j * step, lo + (j + 1) * step) for j in range(count))
+    b_lo, b_hi = _scan(x, Fraction(lo), Fraction(hi), step)
+    assert (b_lo, b_hi) == (lo + (count - 1) * step, hi)
+    assert b_lo < v < b_hi and b_hi - b_lo < step
 
 
 def test_tight_bound_reuses_cached_bracket():

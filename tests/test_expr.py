@@ -25,7 +25,7 @@ from exactreal.expr import (
     parse,
     to_text,
 )
-from exactreal.expr import _as_poly, _bounds, _sum_hook
+from exactreal.expr import _bounds, _linear, _sum_hook
 from exactreal.selftest import check_against_value
 
 F = Fraction
@@ -213,11 +213,10 @@ def test_eval_exact_limits():
 
 
 def test_polynomial_extraction():
-    assert _as_poly(parse("(1 + x)*(1 - x)")) == [F(1), F(0), F(-1)]
-    assert _as_poly(parse("x*x*x - x/2 + 3/4")) == [F(3, 4), F(-1, 2), F(0), F(1)]
-    assert _as_poly(parse("exp(x)")) is None
-    assert _as_poly(parse("x/x")) is None
-    assert _as_poly(parse("pi*x")) is None
+    assert _linear(parse("(1 + x)*(1 - x)")) == ([F(1), F(0), F(-1)], [])
+    assert _linear(parse("x*x*x - x/2 + 3/4")) == ([F(3, 4), F(-1, 2), F(0), F(1)], [])
+    for text in ("exp(x)", "x/x", "pi*x"):
+        assert _linear(parse(text))[1], text
 
 
 def test_range_bounds_are_sound():
@@ -227,6 +226,36 @@ def test_range_bounds_are_sound():
     lo, hi, _ = _bounds(parse("recip(x)"), (F(1), F(2)))
     assert lo <= F(1, 2) and hi >= 1
     assert _bounds(parse("recip(x)"), (F(-1), F(1))) is None
+    assert _bounds(parse("x/(x - 1/2)"), (F(0), F(1))) is None
+    assert _bounds(parse("1/x"), (F(0), F(1))) is None
+
+
+@pytest.mark.parametrize(
+    "text",
+    # abs of a range above, below and across 0; min and max of crossing
+    # branches; a quotient whose divisor stays apart from 0.
+    ["abs(x + 2)", "abs(x - 3)", "abs(x - 1/3)", "min(x*x, 1 - x)", "max(x*x, 1 - x)",
+     "max(abs(x), x*x - 1)", "x/(x + 2)"],
+)
+def test_bounds_hold_sampled_exact_values(text):
+    e = parse(text)
+    lo, hi, slope = _bounds(e, (F(-1), F(2)))
+    points = [F(-1) + F(k, 20) for k in range(61)]
+    values = [eval_exact(e, x=t) for t in points]
+    assert all(lo <= v <= hi for v in values)
+    for k, (s, u) in enumerate(zip(points, values)):
+        assert all(abs(v - u) <= slope * (t - s) for t, v in zip(points[k + 1 :], values[k + 1 :]))
+
+
+def test_constant_integrand_integrates_exactly():
+    # Slope 0: any mesh will do, and the modulus answers 1 at every eps.
+    f = integrand_map(parse("3"), 0, 2)
+    assert f.modulus(F(1, 10**9)) == 1
+    total = integrate(f, 0, 2)
+    for k in range(8):
+        g = F(1, 10**k)
+        assert total.locate(6 - g, 6) is Side.RIGHT
+        assert total.locate(6, 6 + g) is Side.LEFT
 
 
 def test_lipschitz_bounds():

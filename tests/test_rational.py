@@ -8,9 +8,7 @@ from exactreal.rational import (
     Ordering,
     as_rational,
     cantor_decode,
-    enumerate_rational,
     format_rational,
-    index_of,
     parse_rational,
     require_positive,
     trichotomy,
@@ -73,34 +71,6 @@ def test_field_laws_hold_exactly(a, b, c):
     assert a + (-a) == 0
     if a != 0:
         assert a * (1 / a) == 1
-
-
-def test_enumeration_first_values():
-    # Frozen from the Calkin-Wilf recurrence q_{m+1} = 1/(2*floor(q_m)+1-q_m),
-    # interleaved with negations after the initial 0.
-    want = ["0", "1", "-1", "1/2", "-1/2", "2", "-2", "1/3", "-1/3", "3/2", "-3/2", "2/3", "-2/3"]
-    assert [str(enumerate_rational(n)) for n in range(13)] == [str(Fraction(w)) for w in want]
-
-
-def test_enumeration_is_bijective_on_prefix():
-    seen = {}
-    for n in range(100_000):
-        q = enumerate_rational(n)
-        assert q not in seen
-        seen[q] = n
-        assert index_of(q) == n
-
-
-# Bounded inputs: the index of a/b has on the order of a+b bits, so the
-# inverse is only meant for modest rationals.
-@given(st.fractions(min_value=-1000, max_value=1000, max_denominator=1000))
-def test_index_of_round_trip(q):
-    assert enumerate_rational(index_of(q)) == q
-
-
-def test_enumerate_rejects_negative_index():
-    with pytest.raises(ValueError):
-        enumerate_rational(-1)
 
 
 def test_unit_rational_first_values():
