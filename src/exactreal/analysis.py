@@ -218,11 +218,20 @@ def approx_ivt(f: RealMap, a: Endpoint, b: Endpoint, eps: RationalLike) -> CReal
     magnitude = once(lambda: upper_bound(span))
 
     def modulus(tol: RationalLike) -> int:
-        tol = require_positive(tol, "eps")
-        bound = magnitude()
-        return bounded_search(lambda n: bound < tol * 2**n)
+        return geometric_modulus(magnitude(), Fraction(1, 2), tol)
 
     return limit(centre, modulus, name="near-root")
+
+
+def geometric_modulus(bound: Rational, ratio: Rational, eps: RationalLike) -> int:
+    """Least n with bound * ratio^n < eps, over integers as in core.decimal_modulus.
+
+    With bound = a/b, ratio = s/t and eps = c/d the test is a d s^n < c b t^n.
+    """
+    eps = require_positive(eps, "eps")
+    left, right = bound.numerator * eps.denominator, eps.numerator * bound.denominator
+    s, t = ratio.numerator, ratio.denominator
+    return bounded_search(lambda n: left * s**n < right * t**n)
 
 
 @dataclass(frozen=True)
@@ -330,8 +339,6 @@ def exact_ivt(f: RealMap, a: Endpoint, b: Endpoint) -> CReal:
     magnitude = once(lambda: upper_bound(sub(y0, x0)))
 
     def modulus(eps: RationalLike) -> int:
-        eps = require_positive(eps, "eps")
-        bound = magnitude()
-        return bounded_search(lambda n: bound * 2**n < eps * 3**n)
+        return geometric_modulus(magnitude(), Fraction(2, 3), eps)
 
     return limit(left_end, modulus, name="root")

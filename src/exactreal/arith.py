@@ -17,9 +17,13 @@ add, scalar_mul and mul fold only while the result's numerator and
 denominator fit in _FOLD_BITS bits: an iteration in exact arithmetic
 (a cubic update round after round) would otherwise grow its rationals
 without bound, where the lifted node only ever answers coarse queries.
-Anything else builds the lifted node; add with one rational operand c
-asks the other (q - c, r - c), and exp, sin and cos read a rational at
-the point, so neither searches a bracket.
+Anything else builds the lifted node; exp, sin and cos read a rational
+at the point, so they search no bracket.
+
+When every operand of neg, add, scalar_mul, mul or recip has a window
+(from_windows reals) or is rational (a window of width 0), the node is a
+from_windows real computed from the operands' windows: one window per tree
+level, no bracket search.  Plain locator operands keep the paper's nodes.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from exactreal.core import (
     Side,
     from_rational,
     get_search_cap,
+    grid_bits,
     once,
     tight_bound,
     upper_bound,
@@ -115,15 +120,34 @@ def _clip(label: str, limit: int = 32) -> str:
     return label[:14] + "..." + label[-14:]
 
 
+def _window(x: CReal) -> Optional[Callable[[Rational], Window]]:
+    """x's window function, (c, c) for a rational c, None for a plain locator."""
+    c = x.exact
+    return x.window if c is None else lambda eps: (c, c)
+
+
+def _scaled(w: Callable[[Rational], Window], c: Rational) -> Callable[[Rational], Window]:
+    """The window function of c times a real with window function w."""
+
+    def enclose(eps: Rational) -> Window:
+        lo, hi = w(eps / abs(c))
+        return (c * lo, c * hi) if c > 0 else (c * hi, c * lo)
+
+    return enclose
+
+
 def neg(x: CReal) -> CReal:
-    """-x: reflect the query and flip the answer."""
+    """-x: reflect the query and flip the answer, or negate x's window."""
     if x.exact is not None:
         return from_rational(-x.exact)
+    name = f"(-{_clip(x.name)})"
+    if x.window is not None:
+        return from_windows(_scaled(x.window, Fraction(-1)), name)
 
     def decide(q: Rational, r: Rational) -> Side:
         return _flip(x.locate(-r, -q))
 
-    return CReal(decide, name=f"(-{_clip(x.name)})")
+    return CReal(decide, name=name)
 
 
 def add(x: CReal, y: CReal) -> CReal:
@@ -131,19 +155,25 @@ def add(x: CReal, y: CReal) -> CReal:
 
     Pin x into (u, v) with v - u < eps = (r - q)/2, then ask y about
     (q - u, q - u + eps).  RIGHT there gives x + y > u + (q - u) = q;
-    LEFT gives x + y < v + (q - u) + eps < q + 2*eps = r.  When one operand
-    is a rational c, the sum is a translation: the other answers (q - c, r - c).
+    LEFT gives x + y < v + (q - u) + eps < q + 2*eps = r.  When both
+    operands have windows, the sum's window at eps adds theirs at eps/2.
+    When one has a window [lo, hi] at (r - q)/2 (a rational c has [c, c]),
+    the other answers (q - lo, r - hi): for a rational, a translation.
     """
     if x.exact is not None and y.exact is not None:
         value = x.exact + y.exact
         if _fits(value):
             return from_rational(value)
     name = f"({_clip(x.name)}+{_clip(y.name)})"
-    if x.exact is not None or y.exact is not None:
-        c, other = (x.exact, y) if x.exact is not None else (y.exact, x)
+    wx, wy = _window(x), _window(y)
+    if wx is not None and wy is not None:
+        return from_windows(lambda eps: tuple(map(sum, zip(wx(eps / 2), wy(eps / 2)))), name)
+    if wx is not None or wy is not None:
+        w, other = (wx, y) if wx is not None else (wy, x)
 
         def shifted(q: Rational, r: Rational) -> Side:
-            return other.locate(q - c, r - c)
+            lo, hi = w((r - q) / 2)
+            return other.locate(q - lo, r - hi)
 
         return CReal(shifted, name=name)
 
@@ -190,7 +220,7 @@ def absolute(x: CReal) -> CReal:
 
 
 def scalar_mul(c: RationalLike, x: CReal) -> CReal:
-    """c * x for rational c: the constant folds into the query."""
+    """c * x for rational c: the constant folds into the query, or scales x's window."""
     c = as_rational(c)
     if c == 0:
         return from_rational(0)
@@ -198,17 +228,14 @@ def scalar_mul(c: RationalLike, x: CReal) -> CReal:
         value = c * x.exact
         if _fits(value):
             return from_rational(value)
-    if c > 0:
+    name = f"({c}*{_clip(x.name)})"
+    if _window(x) is not None:
+        return from_windows(_scaled(_window(x), c), name)
 
-        def decide(q: Rational, r: Rational) -> Side:
-            return x.locate(q / c, r / c)
+    def decide(q: Rational, r: Rational) -> Side:
+        return x.locate(q / c, r / c) if c > 0 else _flip(x.locate(r / c, q / c))
 
-    else:
-
-        def decide(q: Rational, r: Rational) -> Side:
-            return _flip(x.locate(r / c, q / c))
-
-    return CReal(decide, name=f"({c}*{_clip(x.name)})")
+    return CReal(decide, name=name)
 
 
 def mul(x: CReal, y: CReal) -> CReal:
@@ -218,27 +245,41 @@ def mul(x: CReal, y: CReal) -> CReal:
     query of width eps, bracket x within eta = min(1, eps/2w) and y within
     delta = min(1, eps/2z); every corner product of the two brackets then
     sits within eps of every other, so q < min(corners) or
-    max(corners) < r must hold, and the first check decides.
+    max(corners) < r must hold, and the first check decides.  Operands
+    with windows give z and w from windows of width 1, and their windows
+    at eta and delta give the product's window at eps.
     """
     if x.exact is not None and y.exact is not None:
         value = x.exact * y.exact
         if _fits(value):
             return from_rational(value)
-    bound_x = add(absolute(x), from_rational(1))
-    bound_y = add(absolute(y), from_rational(1))
-    magnitude_bounds = once(lambda: (upper_bound(bound_x), upper_bound(bound_y)))
+    name = f"({_clip(x.name)}*{_clip(y.name)})"
+    wx, wy = _window(x), _window(y)
+    windowed = wx is not None and wy is not None
+    if windowed:
+        # |t| + 1 <= max(-lo, hi) + 1 for every t in a window [lo, hi].
+        one = Fraction(1)
+        magnitude_bounds = once(lambda: tuple(max(-lo, hi) + 1 for lo, hi in (wx(one), wy(one))))
+    else:
+        bound_x = add(absolute(x), from_rational(1))
+        bound_y = add(absolute(y), from_rational(1))
+        magnitude_bounds = once(lambda: (upper_bound(bound_x), upper_bound(bound_y)))
+        wx, wy = (lambda eps: tight_bound(x, eps).ends), (lambda eps: tight_bound(y, eps).ends)
+
+    def enclose(eps: Rational) -> Window:
+        z, w = magnitude_bounds()
+        lx, hx = wx(min(Fraction(1), eps / (2 * w)))
+        ly, hy = wy(min(Fraction(1), eps / (2 * z)))
+        corners = (lx * ly, lx * hy, hx * ly, hx * hy)
+        return min(corners), max(corners)
+
+    if windowed:
+        return from_windows(enclose, name)
 
     def decide(q: Rational, r: Rational) -> Side:
-        z, w = magnitude_bounds()
-        eps = r - q
-        eta = min(Fraction(1), eps / (2 * w))
-        delta = min(Fraction(1), eps / (2 * z))
-        bx = tight_bound(x, eta)
-        by = tight_bound(y, delta)
-        corners = (bx.lo * by.lo, bx.lo * by.hi, bx.hi * by.lo, bx.hi * by.hi)
-        return Side.RIGHT if q < min(corners) else Side.LEFT
+        return Side.RIGHT if q < enclose(r - q)[0] else Side.LEFT
 
-    return CReal(decide, name=f"({_clip(x.name)}*{_clip(y.name)})")
+    return CReal(decide, name=name)
 
 
 def recip(x: CReal, witness: ApartnessWitness) -> CReal:
@@ -247,25 +288,28 @@ def recip(x: CReal, witness: ApartnessWitness) -> CReal:
     For positive x: queries with q <= 0 answer RIGHT outright; otherwise
     0 < 1/r < 1/q, and asking x about (1/r, 1/q) decides, with the answer
     flipped since inversion reverses order.  Negative x mirrors this, the
-    double sign change landing on the same flipped query.
+    double sign change landing on the same flipped query.  When x has a
+    window, that at eps*g^2 for the witness gap g, clamped at g (or -g),
+    inverts to a window of width at most eps: both ends are beyond g.
     """
     if x.exact is not None:
         return from_rational(1 / x.exact)
-    if witness.sign is Sign.POSITIVE:
+    name = f"recip({_clip(x.name)})"
+    positive, g, w = witness.sign is Sign.POSITIVE, witness.gap, x.window
+    if w is not None:
 
-        def decide(q: Rational, r: Rational) -> Side:
-            if q <= 0:
-                return Side.RIGHT
-            return _flip(x.locate(1 / r, 1 / q))
+        def enclose(eps: Rational) -> Window:
+            lo, hi = w(eps * g * g)
+            return 1 / (hi if positive else min(hi, -g)), 1 / (max(lo, g) if positive else lo)
 
-    else:
+        return from_windows(enclose, name)
 
-        def decide(q: Rational, r: Rational) -> Side:
-            if r >= 0:
-                return Side.LEFT
-            return _flip(x.locate(1 / r, 1 / q))
+    def decide(q: Rational, r: Rational) -> Side:
+        if q <= 0 if positive else r >= 0:
+            return Side.RIGHT if positive else Side.LEFT
+        return _flip(x.locate(1 / r, 1 / q))
 
-    return CReal(decide, name=f"recip({_clip(x.name)})")
+    return CReal(decide, name=name)
 
 
 def probe_sign(x: CReal, j: int) -> Optional[Sign]:
@@ -343,21 +387,41 @@ def from_windows(enclose: Callable[[Rational], Window], name: str) -> CReal:
     q < lo (RIGHT) or hi < r (LEFT).  Windows are kept per exact eps, so the
     same-width queries of a tight_bound scan share one; where a window
     depends on eps alone, every answer is a function of (q, r).
+
+    The real's window(eps) reads enclose from eps/2, dividing by 4, until
+    the width is at most 3*eps/4, then rounds the ends outward onto the
+    grid 2^-k of grid_bits(eps), adding at most eps/4: dyadic ends keep
+    the denominators of every window built on it small.
     """
     windows: dict[Rational, Window] = {}
+
+    def cached(eps: Rational) -> Window:
+        # Runs outside the real's lock; the first window stored wins.
+        return windows.get(eps) or windows.setdefault(eps, enclose(eps))
 
     def decide(q: Rational, r: Rational) -> Side:
         eps = (r - q) / 4
         while True:
-            # decide runs outside the real's lock; the first window stored wins.
-            lo, hi = windows.get(eps) or windows.setdefault(eps, enclose(eps))
+            lo, hi = cached(eps)
             if q < lo:
                 return Side.RIGHT
             if hi < r:
                 return Side.LEFT
             eps /= 4
 
-    return CReal(decide, name=name)
+    def window(eps: Rational) -> Window:
+        tol = eps / 2
+        lo, hi = cached(tol)
+        while 4 * (hi - lo) > 3 * eps:
+            tol /= 4
+            lo, hi = cached(tol)
+        k = grid_bits(eps)
+        lo, hi = (lo.numerator << k) // lo.denominator, -((-hi.numerator << k) // hi.denominator)
+        return Fraction(lo, 1 << k), Fraction(hi, 1 << k)
+
+    real = CReal(decide, name=name)
+    real.window = window
+    return real
 
 
 def _window_real(x: CReal, window: WindowFn, name: str, monotone: bool = False) -> CReal:

@@ -18,7 +18,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, TypeVar
+from typing import Callable, Optional, TypeVar, Union
 
 from exactreal.rational import (
     Ordering,
@@ -68,6 +68,10 @@ class Bracket:
     def midpoint(self) -> Rational:
         return (self.lo + self.hi) / 2
 
+    @property
+    def ends(self) -> tuple[Rational, Rational]:
+        return self.lo, self.hi
+
 
 _DEFAULT_CAP = 10**6
 _cap = _DEFAULT_CAP
@@ -104,13 +108,16 @@ def evaluation_count() -> int:
     return _eval_count
 
 
-def _note_evaluation(name: str, q: Rational, r: Rational, side: Side) -> None:
+def _note_evaluation(real: "CReal", q: Rational, r: Rational, side: Side) -> None:
     global _eval_count
     with _eval_lock:
         _eval_count += 1
     hook = _trace_hook
     if hook is not None:
-        hook(name, q, r, side)
+        hook(real.name, q, r, side)
+
+
+Label = Union[str, Callable[[], str]]
 
 
 class CReal:
@@ -131,19 +138,30 @@ class CReal:
     one, and answers the sign probes of both witness searches on one by
     integer comparison (probe_sign); `analysis` splits between rational
     root ends and adds rational grid values without a search.
+    `window`, set by `arith.from_windows`, gives closed dyadic bounds
+    lo <= x <= hi with hi - lo <= eps at any eps.  `name` may be a thunk,
+    called on the first read: most rational reals are never named.
     """
 
-    __slots__ = ("_decide", "name", "_lock", "_answers", "_lo", "_hi", "_evals", "_exact")
+    __slots__ = ("_decide", "_name", "_lock", "_answers", "_lo", "_hi", "_evals", "_exact",
+                 "window")
 
-    def __init__(self, decide: Callable[[Rational, Rational], Side], name: str = "real"):
+    def __init__(self, decide: Callable[[Rational, Rational], Side], name: Label = "real"):
         self._decide = decide
-        self.name = name
+        self._name = name
         self._lock = threading.RLock()
         self._answers: dict[tuple[int, int, int, int], Side] = {}
         self._lo: Optional[Rational] = None
         self._hi: Optional[Rational] = None
         self._evals = 0
         self._exact: Optional[Rational] = None
+        self.window: Optional[Callable[[Rational], tuple[Rational, Rational]]] = None
+
+    @property
+    def name(self) -> str:
+        if callable(self._name):
+            self._name = self._name()
+        return self._name
 
     @property
     def exact(self) -> Optional[Rational]:
@@ -172,7 +190,7 @@ class CReal:
             else:
                 if self._hi is None or r < self._hi:
                     self._hi = r
-        _note_evaluation(self.name, q, r, side)
+        _note_evaluation(self, q, r, side)
         return side
 
     def locates_right(self, q: RationalLike, r: RationalLike) -> bool:
@@ -212,7 +230,7 @@ def _rational_label(s: Rational) -> str:
 
 
 def _rational_real(decide: Callable[[Rational, Rational], Side], s: Rational, tag: str) -> CReal:
-    real = CReal(decide, name=f"{tag}({_rational_label(s)})")
+    real = CReal(decide, name=lambda: f"{tag}({_rational_label(s)})")
     real._exact = s
     return real
 
@@ -326,16 +344,28 @@ def _scan(x: CReal, lo: Rational, hi: Rational, step: Rational) -> tuple[Rationa
     return last, min(hi, last + 2 * step)
 
 
+def grid_bits(eps: Rational) -> int:
+    """Least k >= 0 with 2^-k <= eps/8: the grid that windows of width eps round onto."""
+    return (-(-8 * eps.denominator // eps.numerator) - 1).bit_length()
+
+
 def tight_bound(x: CReal, eps: RationalLike) -> Bracket:
     """A bracket (u, v) with u < x < v and v - u < eps.
 
-    Starts from the cached bracket when one exists and returns it untouched
-    if already tight enough; chained constructions would otherwise multiply
+    A real with a window is not scanned: its window at eps/2, on the grid
+    2^-k of grid_bits(eps/2), is widened by 2^-k at each end to an open
+    bracket narrower than 5*eps/8.  Any other real starts from its cached
+    bracket when one exists and returns it untouched if
+    already tight enough; chained constructions would otherwise multiply
     queries at every level.  Wide brackets shrink by a factor of 6 per
     coarse scan; the last scan uses grid step eps/3, so an interior hit has
     width exactly 2*eps/3.
     """
     eps = require_positive(eps, "eps")
+    if x.window is not None:
+        lo, hi = x.window(eps / 2)
+        step = Fraction(1, 1 << grid_bits(eps / 2))
+        return Bracket(lo - step, hi + step)
     lo, hi = lower_bound(x), upper_bound(x)
     # Probing for either bound may certify a tighter other one.
     known_lo, known_hi = x.known_bracket()
