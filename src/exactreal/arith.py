@@ -229,8 +229,9 @@ def scalar_mul(c: RationalLike, x: CReal) -> CReal:
         if _fits(value):
             return from_rational(value)
     name = f"({c}*{_clip(x.name)})"
-    if _window(x) is not None:
-        return from_windows(_scaled(_window(x), c), name)
+    w = _window(x)
+    if w is not None:
+        return from_windows(_scaled(w, c), name)
 
     def decide(q: Rational, r: Rational) -> Side:
         return x.locate(q / c, r / c) if c > 0 else _flip(x.locate(r / c, q / c))
