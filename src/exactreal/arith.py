@@ -44,7 +44,6 @@ from exactreal.core import (
     grid_bits,
     once,
     tight_bound,
-    upper_bound,
 )
 from exactreal.enclosures import Window, WindowFn, cos_window, exp_window, sin_window
 from exactreal.rational import Rational, RationalLike, as_rational, require_positive
@@ -126,6 +125,16 @@ def _window(x: CReal) -> Optional[Callable[[Rational], Window]]:
     return x.window if c is None else lambda eps: (c, c)
 
 
+def _bracketing(x: CReal) -> Callable[[Rational], Window]:
+    """The ends of x's tight_bound brackets, as a window function."""
+
+    def enclose(eps: Rational) -> Window:
+        b = tight_bound(x, eps)
+        return b.lo, b.hi
+
+    return enclose
+
+
 def _scaled(w: Callable[[Rational], Window], c: Rational) -> Callable[[Rational], Window]:
     """The window function of c times a real with window function w."""
 
@@ -136,18 +145,26 @@ def _scaled(w: Callable[[Rational], Window], c: Rational) -> Callable[[Rational]
     return enclose
 
 
-def neg(x: CReal) -> CReal:
-    """-x: reflect the query and flip the answer, or negate x's window."""
+def _scale(c: Rational, x: CReal, prefix: str) -> CReal:
+    """c * x for rational c != 0: the constant folds into the query, or scales x's window."""
     if x.exact is not None:
-        return from_rational(-x.exact)
-    name = f"(-{_clip(x.name)})"
-    if x.window is not None:
-        return from_windows(_scaled(x.window, Fraction(-1)), name)
+        value = c * x.exact
+        if _fits(value):
+            return from_rational(value)
+    name = f"({prefix}{_clip(x.name)})"
+    w = _window(x)
+    if w is not None:
+        return from_windows(_scaled(w, c), name)
 
     def decide(q: Rational, r: Rational) -> Side:
-        return _flip(x.locate(-r, -q))
+        return x.locate(q / c, r / c) if c > 0 else _flip(x.locate(r / c, q / c))
 
     return CReal(decide, name=name)
+
+
+def neg(x: CReal) -> CReal:
+    """-x: reflect the query and flip the answer, or negate x's window."""
+    return _scale(Fraction(-1), x, "-")
 
 
 def add(x: CReal, y: CReal) -> CReal:
@@ -220,35 +237,22 @@ def absolute(x: CReal) -> CReal:
 
 
 def scalar_mul(c: RationalLike, x: CReal) -> CReal:
-    """c * x for rational c: the constant folds into the query, or scales x's window."""
+    """c * x for rational c."""
     c = as_rational(c)
-    if c == 0:
-        return from_rational(0)
-    if x.exact is not None:
-        value = c * x.exact
-        if _fits(value):
-            return from_rational(value)
-    name = f"({c}*{_clip(x.name)})"
-    w = _window(x)
-    if w is not None:
-        return from_windows(_scaled(w, c), name)
-
-    def decide(q: Rational, r: Rational) -> Side:
-        return x.locate(q / c, r / c) if c > 0 else _flip(x.locate(r / c, q / c))
-
-    return CReal(decide, name=name)
+    return from_rational(0) if c == 0 else _scale(c, x, f"{c}*")
 
 
 def mul(x: CReal, y: CReal) -> CReal:
     """x * y.
 
-    On the first query, fix rationals z > |x| + 1 and w > |y| + 1.  Per
-    query of width eps, bracket x within eta = min(1, eps/2w) and y within
-    delta = min(1, eps/2z); every corner product of the two brackets then
-    sits within eps of every other, so q < min(corners) or
+    On the first query, fix rationals z >= |x| + 1 and w >= |y| + 1 from
+    a width-1 window of each operand (a tight_bound bracket for a plain
+    locator).  Per query of width eps, bracket x within eta = min(1, eps/2w)
+    and y within delta = min(1, eps/2z); every corner product of the two
+    brackets then sits within eps of every other, so q < min(corners) or
     max(corners) < r must hold, and the first check decides.  Operands
-    with windows give z and w from windows of width 1, and their windows
-    at eta and delta give the product's window at eps.
+    with windows give the product's window at eps from theirs at eta and
+    delta.
     """
     if x.exact is not None and y.exact is not None:
         value = x.exact * y.exact
@@ -257,15 +261,11 @@ def mul(x: CReal, y: CReal) -> CReal:
     name = f"({_clip(x.name)}*{_clip(y.name)})"
     wx, wy = _window(x), _window(y)
     windowed = wx is not None and wy is not None
-    if windowed:
-        # |t| + 1 <= max(-lo, hi) + 1 for every t in a window [lo, hi].
-        one = Fraction(1)
-        magnitude_bounds = once(lambda: tuple(max(-lo, hi) + 1 for lo, hi in (wx(one), wy(one))))
-    else:
-        bound_x = add(absolute(x), from_rational(1))
-        bound_y = add(absolute(y), from_rational(1))
-        magnitude_bounds = once(lambda: (upper_bound(bound_x), upper_bound(bound_y)))
-        wx, wy = (lambda eps: tight_bound(x, eps).ends), (lambda eps: tight_bound(y, eps).ends)
+    if not windowed:
+        wx, wy = _bracketing(x), _bracketing(y)
+    # |t| + 1 <= max(-lo, hi) + 1 for every t in a window [lo, hi].
+    one = Fraction(1)
+    magnitude_bounds = once(lambda: tuple(max(-lo, hi) + 1 for lo, hi in (wx(one), wy(one))))
 
     def enclose(eps: Rational) -> Window:
         z, w = magnitude_bounds()

@@ -68,10 +68,6 @@ class Bracket:
     def midpoint(self) -> Rational:
         return (self.lo + self.hi) / 2
 
-    @property
-    def ends(self) -> tuple[Rational, Rational]:
-        return self.lo, self.hi
-
 
 _DEFAULT_CAP = 10**6
 _cap = _DEFAULT_CAP

@@ -126,9 +126,7 @@ def test_grid_sum_uses_enclosure_hook():
 
 
 def test_grid_sum_encloses_once_per_width():
-    # tight_bound asks several same-width queries per scan; the hook must
-    # see each tolerance once.  The window is a fixed fraction of tol wide,
-    # so the scan needs the answers of many widths.
+    # Same-width locate queries must reach the hook once per tolerance.
     calls = Counter()
 
     def hook(grid, tol):
@@ -140,8 +138,7 @@ def test_grid_sum_encloses_once_per_width():
     s = _grid_sum(lin, Grid(F(0), F(1, 8), 8))
     b = tight_bound(s, F(1, 10**4))
     assert b.lo < riemann_sum(lambda t: t, 0, 1, 8) < b.hi
-    # tight_bound reads the sum's window; a scan's same-width cells go
-    # through locate.
+    # Twelve adjacent cells at each of three widths.
     for step in (F(1, 10), F(1, 100), F(1, 1000)):
         for j in range(12):
             s.locate(F(1, 4) + j * step, F(1, 4) + (j + 1) * step)

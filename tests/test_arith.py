@@ -42,7 +42,6 @@ from exactreal.core import (
     set_search_cap,
     tight_bound,
     to_cauchy,
-    upper_bound,
 )
 from exactreal.enclosures import _tail_terms, cos_window, exp_window, sin_window
 from exactreal.selftest import (
@@ -179,9 +178,8 @@ def test_mul_spread_law():
         (Fraction(1, 3), Fraction(-1, 5), Fraction(-1), Fraction(1)),
     ]:
         x, y = from_rational(vx), from_rational(vy)
-        z = upper_bound(add(absolute(x), from_rational(1)))
-        w = upper_bound(add(absolute(y), from_rational(1)))
-        assert z > abs(vx) + 1 and w > abs(vy) + 1
+        z, w = (max(-b.lo, b.hi) + 1 for b in (tight_bound(x, 1), tight_bound(y, 1)))
+        assert z >= abs(vx) + 1 and w >= abs(vy) + 1
         eps = r - q
         bx = tight_bound(x, min(Fraction(1), eps / (2 * w)))
         by = tight_bound(y, min(Fraction(1), eps / (2 * z)))
