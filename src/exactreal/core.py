@@ -18,7 +18,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, TypeVar, Union
+from typing import Callable, Optional, TypeVar
 
 from exactreal.rational import (
     Ordering,
@@ -113,9 +113,6 @@ def _note_evaluation(real: "CReal", q: Rational, r: Rational, side: Side) -> Non
         hook(real.name, q, r, side)
 
 
-Label = Union[str, Callable[[], str]]
-
-
 class CReal:
     """A real number represented by a locator.
 
@@ -135,14 +132,15 @@ class CReal:
     integer comparison (probe_sign); `analysis` splits between rational
     root ends and adds rational grid values without a search.
     `window`, set by `arith.from_windows`, gives closed dyadic bounds
-    lo <= x <= hi with hi - lo <= eps at any eps.  `name` may be a thunk,
-    called on the first read: most rational reals are never named.
+    lo <= x <= hi with hi - lo <= eps at any eps.  A rational real keeps
+    its tag as `_name` and formats its value into `name` on each read:
+    most rational reals are never named.
     """
 
     __slots__ = ("_decide", "_name", "_lock", "_answers", "_lo", "_hi", "_evals", "_exact",
                  "window")
 
-    def __init__(self, decide: Callable[[Rational, Rational], Side], name: Label = "real"):
+    def __init__(self, decide: Callable[[Rational, Rational], Side], name: str = "real"):
         self._decide = decide
         self._name = name
         self._lock = threading.RLock()
@@ -155,9 +153,8 @@ class CReal:
 
     @property
     def name(self) -> str:
-        if callable(self._name):
-            self._name = self._name()
-        return self._name
+        s = self._exact
+        return self._name if s is None else f"{self._name}({_rational_label(s)})"
 
     @property
     def exact(self) -> Optional[Rational]:
@@ -226,7 +223,7 @@ def _rational_label(s: Rational) -> str:
 
 
 def _rational_real(decide: Callable[[Rational, Rational], Side], s: Rational, tag: str) -> CReal:
-    real = CReal(decide, name=lambda: f"{tag}({_rational_label(s)})")
+    real = CReal(decide, name=tag)
     real._exact = s
     return real
 
