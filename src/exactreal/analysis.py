@@ -3,8 +3,8 @@
 Each construction has an explicit error bound; the two root finders are
 Cauchy limits handed to arith.limit with a convergence modulus:
 
-* integrate: one midpoint Riemann sum per query.  A uniform continuity
-  modulus for the integrand turns the query's width into a fine enough mesh.
+* integrate: one midpoint Riemann sum per query or window.  A uniform
+  continuity modulus for the integrand turns a width into a fine enough mesh.
 * approx_ivt: points where |f| < eps.  Interval halving cannot decide
   the sign of f at a midpoint, so each step instead shifts the window
   by a damped correction computed from f by lifted arithmetic; the
@@ -47,7 +47,9 @@ from exactreal.core import (
     bounded_search,
     from_rational,
     get_search_cap,
+    note_window,
     once,
+    round_out,
     tight_bound,
     upper_bound,
 )
@@ -76,15 +78,12 @@ def _exact(value: Endpoint) -> Optional[Rational]:
     return value.exact if isinstance(value, CReal) else as_rational(value)
 
 
-def _grid_sum(f: RealMap, grid: Grid) -> CReal:
-    """step * (sum of f over the grid), answered from exact rational enclosures.
+def _sum_enclosure(f: RealMap, grid: Grid) -> Callable[[Rational], Window]:
+    """Windows of width at most tol = 2*eps around step * (sum of f over the grid).
 
-    A query (q, r) reads from_windows' first window, at tol = 2*eps =
-    (r - q)/2, no wider than tol, so that window decides it.  It comes from
-    f.sum_enclosure or else per point: a value carrying `exact` adds the
-    cell of a grid of width tol/(step*count) holding it, any other a tight
-    bound that narrow (small grids only).  With a hook, answers depend on
-    (q, r) alone.
+    One comes from f.sum_enclosure or else per point: a value carrying
+    `exact` adds the cell of a grid of width tol/(step*count) holding it,
+    any other a tight bound that narrow (small grids only).
     """
     values: dict[Rational, CReal] = {}
 
@@ -110,24 +109,32 @@ def _grid_sum(f: RealMap, grid: Grid) -> CReal:
             hi += piece.hi
         return grid.step * lo, grid.step * hi
 
-    return from_windows(enclose, f"sum/{grid.count}")
+    return enclose
+
+
+def _grid_sum(f: RealMap, grid: Grid) -> CReal:
+    """The real of _sum_enclosure: a query (q, r) is decided by its first window,
+    at eps = (r - q)/4.  With a hook, answers depend on (q, r) alone."""
+    return from_windows(_sum_enclosure(f, grid), f"sum/{grid.count}")
 
 
 def integrate(f: RealMap, a: Endpoint, b: Endpoint) -> CReal:
-    """The integral of f over [a, b] as a locator real.  Caller asserts a <= b.
+    """The integral of f over [a, b] as a real with a window.  Caller asserts a <= b.
 
     Query (q, r) asks a midpoint sum within err = (r - q)/4 of the integral
-    about (q + err, r - err).  The sum runs over n = floor(L/(2 mesh)) + 1
-    cells of a rational [start, stop] of length L inside [a, b], with
-    mesh = f.modulus(e/L): each point of a cell lies within h/2 < mesh of
-    its midpoint, so the sum is within e of the integral over [start, stop].
-    With both ends exact, [start, stop] is [a, b] and e = err.  Otherwise
-    e = err/2: a locator end is replaced by the inner end of its tight
-    bound of width err/(4M), where M bounds |f| on [a, b] (|f(a)| plus one
-    for each step of length f.modulus(1) across it), so the two cut-off
-    ends add less than err/2; when stop <= start the sum is 0 and the
-    integral is below err/2.  Sums are kept per grid.  Raises ValueError
-    when f carries no continuity modulus.
+    about (q + err, r - err).  window(w) encloses one within err = 5w/16 at
+    width w/8, widens that by err and rounds outward onto grid_bits(w).
+    The sum runs over n = floor(L/(2 mesh)) + 1 cells of a rational
+    [start, stop] of length L inside [a, b], with mesh = f.modulus(e/L):
+    each point of a cell lies within h/2 < mesh of its midpoint, so the sum
+    is within e of the integral over [start, stop].  With both ends exact,
+    [start, stop] is [a, b] and e = err.  Otherwise e = err/2: a locator end
+    is replaced by the inner end of its tight bound of width err/(4M), where
+    M bounds |f| on [a, b] (|f(a)| plus one for each step of length
+    f.modulus(1) across it), so the two cut-off ends add less than err/2;
+    when stop <= start the sum is 0 and the integral is below err/2.  Sums
+    are kept per grid, windows per width.  Raises ValueError when f
+    carries no continuity modulus.
     """
     if f.modulus is None:
         raise ValueError("integration needs a uniform continuity modulus")
@@ -146,28 +153,45 @@ def integrate(f: RealMap, a: Endpoint, b: Endpoint) -> CReal:
 
     size = once(measure)
     sums: dict[Grid, CReal] = {}
+    windows: dict[Rational, Window] = {}
 
-    def decide(q: Rational, r: Rational) -> Side:
-        err = e = (r - q) / 4
-        start, stop = a_exact, b_exact
+    def grid_within(err: Rational) -> Optional[Grid]:  # None for the zero sum
+        e, start, stop = err, a_exact, b_exact
         if start is None or stop is None:
             cut, e = err / (4 * size()), err / 2
             if start is None:
                 start = tight_bound(a, cut).hi
             if stop is None:
                 stop = tight_bound(b, cut).lo
-            if stop <= start:  # the sum is 0
-                return Side.RIGHT if q + err < 0 else Side.LEFT
+            if stop <= start:
+                return None
         length = stop - start
         mesh = require_positive(f.modulus(e / length), "modulus value")
         n = length // (2 * mesh) + 1
-        grid = Grid(start + length / (2 * n), length / n, n)
+        return Grid(start + length / (2 * n), length / n, n)
+
+    def decide(q: Rational, r: Rational) -> Side:
+        err = (r - q) / 4
+        grid = grid_within(err)
+        if grid is None:
+            return Side.RIGHT if q + err < 0 else Side.LEFT
         if grid not in sums:
             # decide runs outside the real's lock; the first sum stored wins.
             sums.setdefault(grid, _grid_sum(f, grid))
         return sums[grid].locate(q + err, r - err)
 
-    return CReal(decide, name="integral")
+    def window(w: Rational) -> Window:
+        if w not in windows:
+            note_window()
+            err = 5 * w / 16
+            grid = grid_within(err)
+            lo, hi = (0, 0) if grid is None else _sum_enclosure(f, grid)(w / 16)
+            windows.setdefault(w, round_out(lo - err, hi + err, w))
+        return windows[w]
+
+    real = CReal(decide, name="integral")
+    real.window = window
+    return real
 
 
 def approx_ivt(f: RealMap, a: Endpoint, b: Endpoint, eps: RationalLike) -> CReal:

@@ -41,8 +41,9 @@ from exactreal.core import (
     Side,
     from_rational,
     get_search_cap,
-    grid_bits,
+    note_window,
     once,
+    round_out,
     tight_bound,
 )
 from exactreal.enclosures import Window, WindowFn, cos_window, exp_window, sin_window
@@ -263,9 +264,12 @@ def mul(x: CReal, y: CReal) -> CReal:
     windowed = wx is not None and wy is not None
     if not windowed:
         wx, wy = _bracketing(x), _bracketing(y)
-    # |t| + 1 <= max(-lo, hi) + 1 for every t in a window [lo, hi].
+    # |t| + 1 <= max(-lo, hi) + 1 for every t in a window [lo, hi]; rounded up
+    # to an integer, so that a huge exact operand's bits stay out of eta and delta.
     one = Fraction(1)
-    magnitude_bounds = once(lambda: tuple(max(-lo, hi) + 1 for lo, hi in (wx(one), wy(one))))
+    magnitude_bounds = once(
+        lambda: tuple(Fraction(math.ceil(max(-lo, hi)) + 1) for lo, hi in (wx(one), wy(one)))
+    )
 
     def enclose(eps: Rational) -> Window:
         z, w = magnitude_bounds()
@@ -398,7 +402,11 @@ def from_windows(enclose: Callable[[Rational], Window], name: str) -> CReal:
 
     def cached(eps: Rational) -> Window:
         # Runs outside the real's lock; the first window stored wins.
-        return windows.get(eps) or windows.setdefault(eps, enclose(eps))
+        hit = windows.get(eps)
+        if hit is None:
+            note_window()
+            hit = windows.setdefault(eps, enclose(eps))
+        return hit
 
     def decide(q: Rational, r: Rational) -> Side:
         eps = (r - q) / 4
@@ -416,9 +424,7 @@ def from_windows(enclose: Callable[[Rational], Window], name: str) -> CReal:
         while 4 * (hi - lo) > 3 * eps:
             tol /= 4
             lo, hi = cached(tol)
-        k = grid_bits(eps)
-        lo, hi = (lo.numerator << k) // lo.denominator, -((-hi.numerator << k) // hi.denominator)
-        return Fraction(lo, 1 << k), Fraction(hi, 1 << k)
+        return round_out(lo, hi, eps)
 
     real = CReal(decide, name=name)
     real.window = window

@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--trace",
         action="store_true",
-        help="report the locator evaluation count on stderr",
+        help="report the locator evaluation and window counts on stderr",
     )
     commands = parser.add_subparsers(dest="command", required=True, metavar="command")
 
@@ -278,7 +278,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.cap is not None:
         core.set_search_cap(args.cap)
 
-    evaluations_before = core.evaluation_count()
+    evaluations_before, windows_before = core.evaluation_count(), core.window_count()
     try:
         return args.handler(args)
     except ParseError as exc:
@@ -300,7 +300,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         core.set_search_cap(saved_cap)
         if args.trace:
             evaluations = core.evaluation_count() - evaluations_before
-            print(f"trace: {evaluations} locator evaluations", file=sys.stderr)
+            windows = core.window_count() - windows_before
+            print(f"trace: {evaluations} locator evaluations, {windows} windows", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -90,6 +90,7 @@ TraceHook = Callable[[str, Rational, Rational, Side], None]
 
 _trace_hook: Optional[TraceHook] = None
 _eval_count = 0
+_window_count = 0
 _eval_lock = threading.Lock()
 
 
@@ -102,6 +103,17 @@ def set_trace_hook(hook: Optional[TraceHook]) -> None:
 def evaluation_count() -> int:
     """Total locator evaluations (cache misses) since process start."""
     return _eval_count
+
+
+def window_count() -> int:
+    """Windows computed since process start (from_windows cache misses, integral windows)."""
+    return _window_count
+
+
+def note_window() -> None:
+    global _window_count
+    with _eval_lock:
+        _window_count += 1
 
 
 def _note_evaluation(real: "CReal", q: Rational, r: Rational, side: Side) -> None:
@@ -131,10 +143,10 @@ class CReal:
     one, and answers the sign probes of both witness searches on one by
     integer comparison (probe_sign); `analysis` splits between rational
     root ends and adds rational grid values without a search.
-    `window`, set by `arith.from_windows`, gives closed dyadic bounds
-    lo <= x <= hi with hi - lo <= eps at any eps.  A rational real keeps
-    its tag as `_name` and formats its value into `name` on each read:
-    most rational reals are never named.
+    `window`, set by `arith.from_windows` and `analysis.integrate`, gives
+    closed dyadic bounds lo <= x <= hi, hi - lo <= eps, at any eps.  A
+    rational real keeps its tag as `_name` and formats its value into
+    `name` on each read: most rational reals are never named.
     """
 
     __slots__ = ("_decide", "_name", "_lock", "_answers", "_lo", "_hi", "_evals", "_exact",
@@ -340,6 +352,13 @@ def _scan(x: CReal, lo: Rational, hi: Rational, step: Rational) -> tuple[Rationa
 def grid_bits(eps: Rational) -> int:
     """Least k >= 0 with 2^-k <= eps/8: the grid that windows of width eps round onto."""
     return (-(-8 * eps.denominator // eps.numerator) - 1).bit_length()
+
+
+def round_out(lo: Rational, hi: Rational, eps: Rational) -> tuple[Rational, Rational]:
+    """[lo, hi] rounded outward onto the grid 2^-k of grid_bits(eps): each end moves < eps/8."""
+    k = grid_bits(eps)
+    lo, hi = (lo.numerator << k) // lo.denominator, -((-hi.numerator << k) // hi.denominator)
+    return Fraction(lo, 1 << k), Fraction(hi, 1 << k)
 
 
 def tight_bound(x: CReal, eps: RationalLike) -> Bracket:

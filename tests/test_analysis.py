@@ -19,14 +19,16 @@ from exactreal.analysis import (
     nonconstant_search,
 )
 from exactreal.analysis import _grid_sum
-from exactreal.arith import RealMap, Sign, add, e, exp, mul, pi, sub
+from exactreal.arith import RealMap, Sign, absolute, add, e, exp, mul, pi, sub
 from exactreal.core import (
     CReal,
     SearchExhausted,
     Side,
     evaluation_count,
     from_rational,
+    grid_bits,
     tight_bound,
+    window_count,
 )
 from exactreal.digits import prefix_value, render_digits, to_signed_digits
 from exactreal.expr import as_real_map, integrand_map, parse
@@ -436,6 +438,105 @@ def test_integral_grids_stay_within_the_midpoint_bound():
     oracle = lambda: mpmath.quad(lambda t: mpmath.sin(t + mpmath.exp(t)), [0, 1])
     brackets(oracle, CReal(decide), F(1, 100))
     assert 0 < worst <= 2400
+
+
+# --- integral windows ------------------------------------------------------------
+
+
+SIN_EXP_QUAD = lambda: mpmath.quad(lambda t: mpmath.sin(t + mpmath.exp(t)), [0, 1])
+WINDOW_WIDTHS = (F(1, 2), F(1, 10), F(1, 100), F(1, 1000), F(1, 10**4), F(1, 10**6))
+
+
+@pytest.mark.parametrize(
+    "text, hi, bound, oracle, finest",
+    [
+        ("exp(x)", 1, 1, lambda: mpmath.e - 1, F(1, 10**6)),
+        ("sin(x)", 1, 1, lambda: 1 - mpmath.cos(1), F(1, 10**6)),
+        ("sin(x + exp(x))", 1, 1, SIN_EXP_QUAD, F(1, 10**4)),
+        ("1/(1+x*x)", 1, 1, lambda: mpmath.pi / 4, F(1, 10)),
+        ("x*x", pi(), 4, lambda: mpmath.pi**3 / 3, F(1, 10**6)),
+    ],
+)
+def test_integral_windows_hold_the_value(text, hi, bound, oracle, finest):
+    # Each window holds the integral (30-digit mpmath), is at most w wide
+    # and has ends on the dyadic grid of grid_bits(w).
+    f = integrand_map(parse(text), 0, bound)
+    with mpmath.workdps(30):
+        value = oracle()
+    for w in (w for w in WINDOW_WIDTHS if w >= finest):
+        lo, hi_end = integrate(f, 0, hi).window(w)
+        assert mpmath.mpf(lo.numerator) / lo.denominator < value, (text, w)
+        assert value < mpmath.mpf(hi_end.numerator) / hi_end.denominator, (text, w)
+        assert hi_end - lo <= w, (text, w)
+        k = grid_bits(w)
+        assert (lo * 2**k).denominator == 1 and (hi_end * 2**k).denominator == 1, (text, w)
+
+
+def test_integral_windows_widen_the_sum_by_the_whole_budget():
+    # The midpoint sum of |t - 1/2| over one cell of [0, 1] is 0, a quarter
+    # below the integral; coarse windows sum one cell and must widen.
+    kink = RealMap(
+        apply=lambda u: absolute(sub(u, from_rational(F(1, 2)))),
+        modulus=lambda e: F(e),
+        sum_enclosure=lambda grid, tol: (sum(abs(t - F(1, 2)) for t in grid),) * 2,
+    )
+    for w in (F(4), F(2), F(1), F(1, 2), F(1, 10), F(1, 100)):
+        lo, hi = integrate(kink, 0, 1).window(w)
+        assert lo < F(1, 4) < hi and hi - lo <= w, w
+
+
+def test_integral_windows_with_a_locator_end_keep_half_the_budget():
+    # With a locator end, half of err = 5w/16 is left for the cut-off ends, so
+    # the sum's cells are narrower than twice the mesh of the other half.
+    f = integrand_map(parse("x*x"), 0, 4)
+    grids: list[Grid] = []
+
+    def counting(grid, tol):
+        grids.append(grid)
+        return f.sum_enclosure(grid, tol)
+
+    hooked = dataclasses.replace(f, sum_enclosure=counting)
+    for w in (F(1, 2), F(1, 10), F(1, 100), F(1, 1000)):
+        integrate(hooked, 0, pi()).window(w)
+        grid = grids[-1]
+        assert grid.step < 2 * f.modulus(5 * w / 32 / (grid.step * len(grid))), w
+
+
+def test_integral_window_reads_the_sum_hook_once():
+    f = integrand_map(parse("sin(x + exp(x))"), 0, 1)
+    calls = []
+
+    def counting(grid, tol):
+        calls.append(len(grid))
+        return f.sum_enclosure(grid, tol)
+
+    integral = integrate(dataclasses.replace(f, sum_enclosure=counting), 0, 1)
+    windows = window_count()
+    integral.window(F(1, 200))
+    assert len(calls) == 1 and window_count() == windows + 1
+    integral.window(F(1, 200))
+    assert len(calls) == 1 and window_count() == windows + 1
+
+
+def test_tight_bound_of_a_hooked_integral_evaluates_no_locator():
+    f = integrand_map(parse("sin(x + exp(x))"), 0, 1)
+    before = evaluation_count()
+    brackets(SIN_EXP_QUAD, integrate(f, 0, 1), F(1, 100))
+    assert evaluation_count() == before
+
+
+def test_arithmetic_over_an_integral_reads_its_window():
+    exp_integral = lambda: integrate(integrand_map(parse("exp(x)"), 0, 1), 0, 1)
+    total, product = add(exp_integral(), pi()), mul(exp_integral(), e())
+    assert total.window is not None and product.window is not None
+    with mpmath.workdps(30):
+        values = ((total, mpmath.e - 1 + mpmath.pi), (product, (mpmath.e - 1) * mpmath.e))
+        for real, value in values:
+            for width in (F(1, 10), F(1, 10**6)):
+                b = tight_bound(real, width)
+                assert mpmath.mpf(b.lo.numerator) / b.lo.denominator < value
+                assert value < mpmath.mpf(b.hi.numerator) / b.hi.denominator
+                assert b.width < width
 
 
 # --- approx_ivt ----------------------------------------------------------------

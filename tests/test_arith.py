@@ -178,7 +178,7 @@ def test_mul_spread_law():
         (Fraction(1, 3), Fraction(-1, 5), Fraction(-1), Fraction(1)),
     ]:
         x, y = from_rational(vx), from_rational(vy)
-        z, w = (max(-b.lo, b.hi) + 1 for b in (tight_bound(x, 1), tight_bound(y, 1)))
+        z, w = (math.ceil(max(-b.lo, b.hi)) + 1 for b in (tight_bound(x, 1), tight_bound(y, 1)))
         assert z >= abs(vx) + 1 and w >= abs(vy) + 1
         eps = r - q
         bx = tight_bound(x, min(Fraction(1), eps / (2 * w)))

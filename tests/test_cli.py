@@ -164,7 +164,7 @@ def test_trace_goes_to_stderr_only():
     traced = run_cli("--trace", "digits", "1/2", "-n", "3")
     assert traced.returncode == 0
     assert traced.stdout == plain.stdout
-    match = re.fullmatch(r"trace: (\d+) locator evaluations\n", traced.stderr)
+    match = re.fullmatch(r"trace: (\d+) locator evaluations, (\d+) windows\n", traced.stderr)
     assert match is not None
     assert int(match.group(1)) > 0
 
@@ -179,7 +179,7 @@ def test_trace_keeps_the_callers_hook(capsys):
     finally:
         core.set_trace_hook(None)
     _, err = capsys.readouterr()
-    assert err == "trace: 20 locator evaluations\n"
+    assert err == "trace: 20 locator evaluations, 0 windows\n"
     assert during == 20
     assert len(calls) == 21
 

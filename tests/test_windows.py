@@ -25,7 +25,7 @@ from exactreal.arith import (
     sin,
     sub,
 )
-from exactreal.core import Side, evaluation_count, from_rational, tight_bound
+from exactreal.core import CReal, Side, evaluation_count, from_rational, tight_bound, window_count
 
 
 def _mp_fraction(value) -> Fraction:
@@ -146,3 +146,36 @@ def test_geometric_modulus_matches_the_fraction_scan():
             while not bound * ratio**n < eps:
                 n += 1
             assert geometric_modulus(bound, ratio, eps) == n
+
+
+def test_window_count_counts_computed_windows():
+    calls = []
+
+    def enclose(eps):
+        calls.append(eps)
+        return Fraction(1, 3) - eps, Fraction(1, 3) + eps
+
+    real, before = from_windows(enclose, "third"), window_count()
+    for _ in range(3):
+        real.locate(0, 1)
+        real.window(Fraction(1, 8))
+    assert window_count() - before == len(calls) > 0
+
+
+def test_product_with_an_oversized_rational_asks_narrow_queries():
+    # An exact operand past the fold bound is its own window; its bits must
+    # not reach the magnitude bounds, and through them every query below.
+    third, widths = from_rational(Fraction(1, 3)), []
+
+    def decide(q, r):
+        widths.append(max(v.bit_length() for v in (q.numerator, q.denominator, r.numerator,
+                                                   r.denominator)))
+        return third.locate(q, r)
+
+    c = Fraction(3**1000 + 1, 3**999)
+    product = mul(exp(CReal(decide)), from_rational(c))
+    b = tight_bound(product, Fraction(1, 1000))
+    with mpmath.workdps(40):
+        value = mpmath.exp(mpmath.mpf(1) / 3) * mpmath.mpf(c.numerator) / c.denominator
+    assert b.lo < _mp_fraction(value) < b.hi
+    assert widths and max(widths) < 300
